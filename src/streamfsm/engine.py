@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from math import ceil, log
 from typing import NamedTuple
 
-from .exploration import (
-    compute_d_approx,
-    compute_d_exact,
-    compute_w_approx,
-    new_vertex_sets,
-)
+from .exploration import compute_d_approx, compute_d_exact, new_vertex_sets
 from .graph import DynamicLabeledGraph, SubgraphInstance, is_connected
 from .pattern import PatternKey, canonical_key, count_patterns
 from .rng import substream, substream_seed
@@ -77,6 +72,9 @@ class EngineConfig:
             raise EngineError(f"unknown w_mode {self.w_mode!r}")
         if self.sketch_size < 2:
             raise EngineError(f"sketch size must be >= 2, got {self.sketch_size}")
+        if self.w_mode == "sketch" and self.k != 3:
+            # the sketch estimate of the event delta exists for size 3 only
+            raise EngineError(f"w_mode='sketch' needs k=3, got k={self.k}")
         if self.missing_delete not in ("error", "skip"):
             raise EngineError(f"unknown missing_delete policy {self.missing_delete!r}")
         if self.sample_size is not None and self.sample_size < 1:
@@ -176,21 +174,68 @@ def snapshot_lines(estimate: FrequencyEstimate, report: FrequentReport) -> list[
     return lines
 
 
-def _triple_instance(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> SubgraphInstance:
-    """Instance over {u, v, w}; a None edge label means the edge is absent."""
-    trip = sorted(((u, lu), (v, lv), (w, lw)))
-    ids = (trip[0][0], trip[1][0], trip[2][0])
-    labs = (trip[0][1], trip[1][1], trip[2][1])
-    pos = {ids[0]: 0, ids[1]: 1, ids[2]: 2}
+# Raw size-3 signature -> (vertex_labels, edges, pattern key). The raw
+# signature is the order that sorts the ids (u, v, w), the three vertex labels
+# and the three edge labels (None for an absent edge); it fixes the member's
+# label and edge tuples and its pattern class. Every k=3 member shares those
+# tuples with the other members of its signature and owns only its id tuple.
+# At most 6 * L^3 * (E + 1)^3 entries for L vertex and E edge labels.
+_TRIPLES: dict[tuple, tuple] = {}
+
+# sorting order -> positions of u, v, w in the sorted id tuple
+_ORDER_POS = ((0, 1, 2), (0, 2, 1), (1, 2, 0), (1, 0, 2), (2, 0, 1), (2, 1, 0))
+
+
+def _intern_triple(raw: tuple) -> tuple:
+    order, lu, lv, lw, e_uv, e_uw, e_vw = raw
+    pu, pv, pw = _ORDER_POS[order]
+    labs = [0, 0, 0]
+    labs[pu], labs[pv], labs[pw] = lu, lv, lw
     edges = []
-    for a, b, lab in ((u, v, e_uv), (u, w, e_uw), (v, w, e_vw)):
-        if lab is None:
-            continue
-        i = pos[a]
-        j = pos[b]
-        edges.append((i, j, lab) if i < j else (j, i, lab))
+    for a, b, lab in ((pu, pv, e_uv), (pu, pw, e_uw), (pv, pw, e_vw)):
+        if lab is not None:
+            edges.append((a, b, lab) if a < b else (b, a, lab))
     edges.sort()
-    return SubgraphInstance(ids, labs, tuple(edges))
+    labs = tuple(labs)
+    edges = tuple(edges)
+    shared = (labs, edges, canonical_key(SubgraphInstance((0, 1, 2), labs, edges)))
+    _TRIPLES[raw] = shared
+    return shared
+
+
+def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[SubgraphInstance, PatternKey]:
+    """Instance over {u, v, w} and its pattern key; a None edge label means
+    the edge is absent. The single builder of size-3 sample members."""
+    if u < v:
+        if v < w:
+            order, ids = 0, (u, v, w)
+        elif u < w:
+            order, ids = 1, (u, w, v)
+        else:
+            order, ids = 2, (w, u, v)
+    elif u < w:
+        order, ids = 3, (v, u, w)
+    elif v < w:
+        order, ids = 4, (v, w, u)
+    else:
+        order, ids = 5, (w, v, u)
+    raw = (order, lu, lv, lw, e_uv, e_uw, e_vw)
+    shared = _TRIPLES.get(raw)
+    if shared is None:
+        shared = _intern_triple(raw)
+    return SubgraphInstance(ids, shared[0], shared[1]), shared[2]
+
+
+def _graph_triple(
+    g: DynamicLabeledGraph, u: int, v: int, w: int, e_uv: int | None
+) -> tuple[SubgraphInstance, PatternKey]:
+    """_triple_member over {u, v, w} as the graph holds it, except that the
+    (u, v) edge carries ``e_uv`` (None: absent)."""
+    labels = g.labels
+    adj_w = g.adj[w]
+    return _triple_member(
+        u, labels[u], v, labels[v], w, labels[w], e_uv, adj_w.get(u), adj_w.get(v)
+    )
 
 
 def _third_vertex(vertices: tuple[int, ...], u: int, v: int) -> int:
@@ -285,7 +330,7 @@ class ExactCountEngine(_EngineBase):
         raw = (lu, lv, lw, e_uv, e_uw, e_vw)
         key = self._memo3.get(raw)
         if key is None:
-            key = canonical_key(_triple_instance(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw))
+            key = _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw)[1]
             self._memo3[raw] = key
         return key
 
@@ -419,10 +464,7 @@ class _SamplingEngineBase(_EngineBase):
 
     def estimate_frequencies(self) -> FrequencyEstimate:
         res = self.reservoir
-        counts: dict[PatternKey, int] = {}
-        for inst in res.slots:
-            key = canonical_key(inst)
-            counts[key] = counts.get(key, 0) + 1
+        counts = dict(res.counts)
         occ = res.occupancy
         shares = {key: c / occ for key, c in counts.items()} if occ else {}
         return FrequencyEstimate(
@@ -441,6 +483,21 @@ class _SamplingEngineBase(_EngineBase):
                 raise SampleInvariantError(
                     f"disconnected sample member {inst.vertices}"
                 )
+
+    def _modify_members_on_add(self, u: int, v: int, le: int) -> int:
+        """Re-materialise the sampled members over (u, v) with the new edge;
+        call before the graph holds it. Returns how many were modified."""
+        res = self.reservoir
+        members = res.members_containing_pair(u, v)
+        if self.k == 3:
+            g = self.graph
+            for inst in members:
+                w = _third_vertex(inst.vertices, u, v)
+                res.replace_modified(inst, *_graph_triple(g, u, v, w, le))
+        else:
+            for inst in members:
+                res.replace_modified(inst.vertices, inst.with_edge(u, v, le))
+        return len(members)
 
     def _offer_new(self, build) -> bool:
         """One new-subgraph arrival: count it, run the admission coin, and
@@ -476,9 +533,7 @@ class ReservoirEngine(_SamplingEngineBase):
         g = self.graph
         res = self.reservoir
         u, v, le = ev.u, ev.v, ev.label_e
-        members = res.members_containing_pair(u, v)
-        for inst in members:
-            res.replace_modified(inst.vertices, inst.with_edge(u, v, le))
+        modified = self._modify_members_on_add(u, v, le)
         admitted = 0
         if self.k == 3:
             nu = g.adj[u]
@@ -489,7 +544,6 @@ class ReservoirEngine(_SamplingEngineBase):
             ex_u = nu.keys() - nv.keys() - {v}
             ex_v = nv.keys() - nu.keys() - {u}
             g.add_edge(u, ev.label_u, v, ev.label_v, le)
-            res = self.reservoir
             rng = self.rng
             cap = res.capacity
             for side_u, side in ((True, ex_u), (False, ex_v)):
@@ -510,16 +564,16 @@ class ReservoirEngine(_SamplingEngineBase):
                         res.c2 -= 1
                         continue
                     if side_u:
-                        inst = _triple_instance(u, lu, v, lv, w, labels[w], le, nu[w], None)
+                        inst, key = _triple_member(u, lu, v, lv, w, labels[w], le, nu[w], None)
                     else:
-                        inst = _triple_instance(u, lu, v, lv, w, labels[w], le, None, nv[w])
+                        inst, key = _triple_member(u, lu, v, lv, w, labels[w], le, None, nv[w])
                     if debt == 0 and res.occupancy >= cap:
-                        res.replace_random_slot(inst, rng)
+                        res.replace_random_slot(inst, rng, key)
                     else:
-                        res.fill_free_slot(inst)
+                        res.fill_free_slot(inst, key)
                     admitted += 1
             created = len(ex_u) + len(ex_v)
-            return EventStats(created, 0, len(members), admitted)
+            return EventStats(created, 0, modified, admitted)
         fresh = [
             g.induced_subgraph(vset).with_edge(u, v, le)
             for vset in new_vertex_sets(g, u, v, self.k)
@@ -528,7 +582,7 @@ class ReservoirEngine(_SamplingEngineBase):
         for inst in fresh:
             if self._offer_new(lambda: inst):
                 admitted += 1
-        return EventStats(len(fresh), 0, len(members), admitted)
+        return EventStats(len(fresh), 0, modified, admitted)
 
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
         g = self.graph
@@ -542,7 +596,7 @@ class ReservoirEngine(_SamplingEngineBase):
             for inst in res.members_containing_pair(u, v):
                 w = _third_vertex(inst.vertices, u, v)
                 if w in nu and w in nv:
-                    res.replace_modified(inst.vertices, inst.without_edge(u, v))
+                    res.replace_modified(inst, *_graph_triple(g, u, v, w, None))
                     modified += 1
             ex_u = nu.keys() - nv.keys() - {v}
             ex_v = nv.keys() - nu.keys() - {u}
@@ -647,10 +701,7 @@ class SkipReservoirEngine(_SamplingEngineBase):
         res = self.reservoir
         k = self.k
         u, v, le = ev.u, ev.v, ev.label_e
-        members = res.members_containing_pair(u, v)
-        for inst in members:
-            res.replace_modified(inst.vertices, inst.with_edge(u, v, le))
-        new_sets: list[tuple[int, ...]] | None = None
+        modified = self._modify_members_on_add(u, v, le)
         if k == 3:
             nu = g.adj[u]
             nv = g.adj[v]
@@ -689,36 +740,26 @@ class SkipReservoirEngine(_SamplingEngineBase):
                 pool.extend(ex_v)
                 take = min(len(placements), len(pool))
                 for action, w in zip(placements, self.rng.sample(pool, take)):
-                    inst = g.induced_subgraph((u, v, w))
+                    inst, key = _graph_triple(g, u, v, w, le)
                     if action == _FILL:
-                        res.fill_free_slot(inst)
+                        res.fill_free_slot(inst, key)
                     else:
-                        res.replace_random_slot(inst, self.rng)
+                        res.replace_random_slot(inst, self.rng, key)
                     admitted += 1
-            return EventStats(arrivals, 0, len(members), admitted)
-        if self.w_mode == "exact":
-            new_sets = new_vertex_sets(g, u, v, k)
-            arrivals = len(new_sets)
-            g.add_edge(u, ev.label_u, v, ev.label_v, le)
-        else:
-            g.add_edge(u, ev.label_u, v, ev.label_v, le)
-            self.sketches.on_edge_added(u, v)
-            arrivals = int(round(compute_w_approx(self.sketches, g, u, v, k)))
-        placements = self._consume_arrivals(arrivals)
-        admitted = 0
+            return EventStats(arrivals, 0, modified, admitted)
+        # sizes other than 3 run exact-W only (EngineConfig)
+        new_sets = new_vertex_sets(g, u, v, k)
+        g.add_edge(u, ev.label_u, v, ev.label_v, le)
+        placements = self._consume_arrivals(len(new_sets))
         if placements:
-            if new_sets is None:
-                new_sets = new_vertex_sets(g, u, v, k)
-            take = min(len(placements), len(new_sets))
-            chosen = self.rng.sample(new_sets, take)
+            chosen = self.rng.sample(new_sets, len(placements))
             for action, vset in zip(placements, chosen):
                 inst = g.induced_subgraph(vset)
                 if action == _FILL:
                     res.fill_free_slot(inst)
                 else:
                     res.replace_random_slot(inst, self.rng)
-                admitted += 1
-        return EventStats(arrivals, 0, len(members), admitted)
+        return EventStats(len(new_sets), 0, modified, len(placements))
 
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
         g = self.graph
@@ -736,10 +777,10 @@ class SkipReservoirEngine(_SamplingEngineBase):
             for inst in res.members_containing_pair(u, v):
                 w = _third_vertex(inst.vertices, u, v)
                 if w in nu and w in nv:
-                    res.replace_modified(inst.vertices, inst.without_edge(u, v))
+                    res.replace_modified(inst, *_graph_triple(g, u, v, w, None))
                     modified += 1
                 else:
-                    res.remove_destroyed(inst.vertices)
+                    res.remove_destroyed(inst)
                     hit_in_sample += 1
             if self.w_mode == "exact":
                 destroyed = len(nu.keys() - nv.keys()) + len(nv.keys() - nu.keys())
@@ -754,10 +795,7 @@ class SkipReservoirEngine(_SamplingEngineBase):
                 else:
                     res.remove_destroyed(inst.vertices)
                     hit_in_sample += 1
-            if self.w_mode == "exact":
-                destroyed = compute_d_exact(g, u, v, k)
-            else:
-                destroyed = int(round(compute_d_approx(self.sketches, g, u, v, k)))
+            destroyed = compute_d_exact(g, u, v, k)  # exact-W only (EngineConfig)
         if destroyed < hit_in_sample:
             if self.w_mode == "exact":
                 raise SampleInvariantError(

@@ -5,15 +5,9 @@ of the newly created ones."""
 from __future__ import annotations
 
 import random
-from math import comb
 
 from .graph import DynamicLabeledGraph, GraphError, SubgraphInstance, is_connected
-from .sketch import (
-    BottomKSketch,
-    SketchStore,
-    intersection_estimate,
-    union_sketch,
-)
+from .sketch import SketchStore, intersection_estimate
 
 
 def _exclusive_thirds(g: DynamicLabeledGraph, u: int, v: int):
@@ -127,64 +121,22 @@ def _exact_delta_current(g: DynamicLabeledGraph, u: int, v: int) -> int:
     return max(0, delta)
 
 
-def _multi_hop_sketch(
-    store: SketchStore, g: DynamicLabeledGraph, root: int, hops: int
-) -> BottomKSketch:
-    """Sketch of the 1..hops-hop neighborhood of ``root``.
-
-    Folds the per-vertex sketches along a breadth-first frontier; coarse by
-    construction (frontier membership is read from the graph, values from
-    the sketches)."""
-    acc = store.sketch(root)
-    if hops <= 1:
-        return acc
-    seen = {root}
-    frontier = [root]
-    for _ in range(hops - 1):
-        nxt: list[int] = []
-        for x in frontier:
-            for y in g.adj.get(x, {}):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        for y in nxt:
-            acc = union_sketch(acc, store.sketch(y))
-        if not nxt:
-            break
-        frontier = nxt
-    return acc
-
-
 def _approx_delta(
     store: SketchStore, g: DynamicLabeledGraph, u: int, v: int, k: int, edge_present: bool
 ) -> float:
-    if k == 3:
-        deg_u, deg_v = g.degree(u), g.degree(v)
-        if deg_u <= store.size and deg_v <= store.size:
-            # both sketches are underfull, hence lossless; count exactly
-            return float(_exact_delta_current(g, u, v))
-        sk_u = store.sketch(u)
-        sk_v = store.sketch(v)
-        inter = intersection_estimate(sk_u, sk_v)
-        est = sk_u.size_estimate() + sk_v.size_estimate() - 2.0 * inter
-        if edge_present:
-            est -= 2.0
-        return max(0.0, est)
-    # Larger sizes: coarse composition over the hop splits. Per split, count
-    # vertex choices from each endpoint's exclusive reach; tight only for
-    # size 3, which is the supported hot path.
-    total = 0.0
-    for h in range(k - 1):
-        j = k - 2 - h
-        sk_u = _multi_hop_sketch(store, g, u, max(h, 1))
-        sk_v = _multi_hop_sketch(store, g, v, max(j, 1))
-        inter = intersection_estimate(sk_u, sk_v)
-        n_u = max(0.0, sk_u.size_estimate() - inter - (1.0 if edge_present else 0.0))
-        n_v = max(0.0, sk_v.size_estimate() - inter - (1.0 if edge_present else 0.0))
-        x = comb(int(n_u), h) if h > 0 else 1
-        y = comb(int(n_v), j) if j > 0 else 1
-        total += x * y
-    return total
+    if k != 3:
+        raise GraphError(f"sketch-based deltas exist for subgraph size 3 only, got {k}")
+    deg_u, deg_v = g.degree(u), g.degree(v)
+    if deg_u <= store.size and deg_v <= store.size:
+        # both sketches are underfull, hence lossless; count exactly
+        return float(_exact_delta_current(g, u, v))
+    sk_u = store.sketch(u)
+    sk_v = store.sketch(v)
+    inter = intersection_estimate(sk_u, sk_v)
+    est = sk_u.size_estimate() + sk_v.size_estimate() - 2.0 * inter
+    if edge_present:
+        est -= 2.0
+    return max(0.0, est)
 
 
 def compute_w_approx(

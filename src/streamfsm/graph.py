@@ -30,10 +30,6 @@ class SubgraphInstance(NamedTuple):
     def size(self) -> int:
         return len(self.vertices)
 
-    def signature(self) -> tuple:
-        """Vertex-id-free structure used for pattern memoization."""
-        return (self.vertex_labels, self.edges)
-
     def with_edge(self, u: int, v: int, label: int) -> "SubgraphInstance":
         """Copy of this instance with the (u, v) edge added."""
         i = self.vertices.index(u)

@@ -58,18 +58,6 @@ def canonical_key(instance: SubgraphInstance) -> PatternKey:
     return key
 
 
-def key_from_parts(
-    vertex_labels: tuple[int, ...], edges: tuple[tuple[int, int, int], ...]
-) -> PatternKey:
-    """canonical_key for callers that already hold a signature."""
-    sig = (vertex_labels, edges)
-    key = _MEMO.get(sig)
-    if key is None:
-        key = _canonical(len(vertex_labels), vertex_labels, edges)
-        _MEMO[sig] = key
-    return key
-
-
 def _label_sorted_orders(vlabels: tuple[int, ...]):
     """Vertex orders whose label sequence is the sorted one.
 

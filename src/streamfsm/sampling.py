@@ -4,7 +4,8 @@ The reservoir keeps a uniform sample of the connected k-subgraph population
 under insertions (classic reservoir step) and deletions (pairing each later
 insertion against an uncompensated deletion, tracked by the c1/c2 split).
 A vertex index gives constant-expected-time access to the sample members an
-edge event can touch.
+edge event can touch, and per-pattern counts kept beside the slots make a
+frequency report cost O(pattern classes), not O(sample size).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from math import lgamma, log
 
 from .graph import SubgraphInstance
+from .pattern import PatternKey, canonical_key
 
 
 class SampleInvariantError(RuntimeError):
@@ -30,20 +32,29 @@ class SubgraphReservoir:
 
     State:
       * ``slots``: the sample, order-insignificant and kept compact;
+      * ``keys``: the pattern key of each slot, aligned with ``slots``;
+      * ``counts``: sampled members per pattern key (no zero entries);
       * ``n_population``: current number of live subgraphs in the graph;
       * ``c1``/``c2``: uncompensated deletions that did / did not hit the
         sample (their sum is the pairing debt);
       * a vertex index mapping vertex id -> identities of sample members
         containing it.
+
+    Placements take the member's pattern key from the caller, who usually
+    has it at hand; without one it is computed with ``canonical_key``.
     """
 
-    __slots__ = ("capacity", "slots", "n_population", "c1", "c2", "_pos", "index")
+    __slots__ = (
+        "capacity", "slots", "keys", "counts", "n_population", "c1", "c2", "_pos", "index"
+    )
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.slots: list[SubgraphInstance] = []
+        self.keys: list[PatternKey] = []
+        self.counts: dict[PatternKey, int] = {}
         self.n_population = 0
         self.c1 = 0
         self.c2 = 0
@@ -58,42 +69,67 @@ class SubgraphReservoir:
         return _identity(inst_or_vertices) in self._pos
 
     def members_containing_pair(self, u: int, v: int) -> list[SubgraphInstance]:
-        """Sample members whose vertex set contains both u and v."""
-        bucket = self.index.get(u)
-        if not bucket:
+        """Sample members whose vertex set contains both u and v, in
+        ascending order of their (sorted) vertex tuples."""
+        index = self.index
+        bu = index.get(u)
+        if not bu:
+            return []
+        bv = index.get(v)
+        if not bv:
             return []
         slots = self.slots
         pos = self._pos
-        return [slots[pos[vset]] for vset in bucket if v in vset]
+        return [slots[pos[vset]] for vset in sorted(bu & bv)]
 
-    def _add(self, inst: SubgraphInstance) -> None:
+    def _add(self, inst: SubgraphInstance, key: PatternKey | None) -> None:
         vset = inst.vertices
-        if vset in self._pos:
+        pos = self._pos
+        if vset in pos:
             raise SampleInvariantError(f"subgraph {vset} already sampled")
-        self._pos[vset] = len(self.slots)
+        if key is None:
+            key = canonical_key(inst)
+        pos[vset] = len(self.slots)
         self.slots.append(inst)
+        self.keys.append(key)
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + 1
+        index = self.index
         for v in vset:
-            bucket = self.index.get(v)
+            bucket = index.get(v)
             if bucket is None:
-                self.index[v] = {vset}
+                index[v] = {vset}
             else:
                 bucket.add(vset)
 
     def _remove_at(self, idx: int) -> SubgraphInstance:
         slots = self.slots
+        keys = self.keys
         inst = slots[idx]
         vset = inst.vertices
         del self._pos[vset]
+        index = self.index
         for v in vset:
-            bucket = self.index[v]
+            bucket = index[v]
             bucket.remove(vset)
             if not bucket:
-                del self.index[v]
+                del index[v]
+        self._uncount(keys[idx])
         last = slots.pop()
+        last_key = keys.pop()
         if idx < len(slots):
             slots[idx] = last
+            keys[idx] = last_key
             self._pos[last.vertices] = idx
         return inst
+
+    def _uncount(self, key: PatternKey) -> None:
+        counts = self.counts
+        c = counts[key] - 1
+        if c:
+            counts[key] = c
+        else:
+            del counts[key]
 
     def insert(self, inst: SubgraphInstance, rng: random.Random) -> bool:
         """Classic reservoir step for one new subgraph.
@@ -105,11 +141,11 @@ class SubgraphReservoir:
         if self.n_population < 1:
             raise SampleInvariantError("insert before the arrival was counted")
         if len(self.slots) < self.capacity:
-            self._add(inst)
+            self._add(inst, None)
             return True
         if rng.random() < self.capacity / self.n_population:
             self._remove_at(rng.randrange(self.capacity))
-            self._add(inst)
+            self._add(inst, None)
             return True
         return False
 
@@ -123,7 +159,7 @@ class SubgraphReservoir:
             if len(self.slots) >= self.capacity:
                 raise SampleInvariantError("c1 > 0 with a full sample")
             self.c1 -= 1
-            self._add(inst)
+            self._add(inst, None)
             return True
         self.c2 -= 1
         return False
@@ -158,11 +194,13 @@ class SubgraphReservoir:
         self._remove_at(idx)
         self.c1 += 1
 
-    def replace_modified(self, old_identity, new_inst: SubgraphInstance) -> None:
+    def replace_modified(
+        self, old_identity, new_inst: SubgraphInstance, key: PatternKey | None = None
+    ) -> None:
         """Swap a sampled instance for its modified version, in place.
 
-        Same vertex set, different induced edges; no counter or index
-        changes.
+        Same vertex set, different induced edges; the pattern counts follow
+        the new key, the population counters and the index do not change.
         """
         vset = _identity(old_identity)
         if new_inst.vertices != vset:
@@ -172,50 +210,64 @@ class SubgraphReservoir:
         idx = self._pos.get(vset)
         if idx is None:
             raise SampleInvariantError(f"subgraph {vset} is not in the sample")
+        if key is None:
+            key = canonical_key(new_inst)
+        self._uncount(self.keys[idx])
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + 1
         self.slots[idx] = new_inst
+        self.keys[idx] = key
 
     # Lower-level placements used by the skip-optimized engines, where the
     # admission decision has already been taken by a skip counter.
 
-    def fill_free_slot(self, inst: SubgraphInstance) -> None:
+    def fill_free_slot(self, inst: SubgraphInstance, key: PatternKey | None = None) -> None:
         if len(self.slots) >= self.capacity:
             raise SampleInvariantError("no free slot to fill")
-        self._add(inst)
+        self._add(inst, key)
 
-    def replace_random_slot(self, inst: SubgraphInstance, rng: random.Random) -> None:
+    def replace_random_slot(
+        self, inst: SubgraphInstance, rng: random.Random, key: PatternKey | None = None
+    ) -> None:
         if len(self.slots) != self.capacity:
             raise SampleInvariantError("random replacement needs a full sample")
         self._remove_at(rng.randrange(self.capacity))
-        self._add(inst)
+        self._add(inst, key)
 
     def dump_lines(self) -> list[str]:
         """Debug dump, one stable line per slot."""
-        from .pattern import canonical_key
-
         out = []
-        for slot_id, inst in enumerate(self.slots):
+        for slot_id, (inst, key) in enumerate(zip(self.slots, self.keys)):
             ids = ",".join(str(v) for v in inst.vertices)
-            out.append(f"{slot_id}\t{ids}\t{canonical_key(inst).text()}")
+            out.append(f"{slot_id}\t{ids}\t{key.text()}")
         return out
 
     def verify(self) -> None:
-        """Check the index and position maps against the slots; raises."""
+        """Check the index and position maps, the per-slot pattern keys and
+        the per-pattern counts against the slots; raises."""
         if len(self.slots) > self.capacity:
             raise SampleInvariantError("occupancy exceeds capacity")
         if self.c1 < 0 or self.c2 < 0 or self.n_population < 0:
             raise SampleInvariantError("negative counter")
         if len(self.slots) > self.n_population:
             raise SampleInvariantError("occupancy exceeds population")
-        if len(self._pos) != len(self.slots):
-            raise SampleInvariantError("position map out of sync")
+        if len(self._pos) != len(self.slots) or len(self.keys) != len(self.slots):
+            raise SampleInvariantError("position map or key list out of sync")
         fresh: dict[int, set[tuple[int, ...]]] = {}
+        counts: dict[PatternKey, int] = {}
         for idx, inst in enumerate(self.slots):
             if self._pos.get(inst.vertices) != idx:
                 raise SampleInvariantError(f"bad position for {inst.vertices}")
             for v in inst.vertices:
                 fresh.setdefault(v, set()).add(inst.vertices)
+            key = canonical_key(inst)
+            if self.keys[idx] != key:
+                raise SampleInvariantError(f"stale pattern key for {inst.vertices}")
+            counts[key] = counts.get(key, 0) + 1
         if fresh != self.index:
             raise SampleInvariantError("vertex index out of sync with slots")
+        if counts != self.counts:
+            raise SampleInvariantError("pattern counts out of sync with slots")
 
 
 # --- skip counters -------------------------------------------------------

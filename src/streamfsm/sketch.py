@@ -186,8 +186,8 @@ def intersection_estimate(a: BottomKSketch, b: BottomKSketch) -> float:
     Every hash value below the smaller retained threshold is fully visible
     in both sketches, so the common ones are counted exactly and scaled by
     the threshold. Lossless when both sketches are underfull. Much tighter
-    than inclusion-exclusion over three cardinality estimates, whose error
-    compounds (see intersection_estimate_ie, kept for reference).
+    than inclusion-exclusion over three cardinality estimates (the two
+    sizes minus ``union_estimate``), whose error compounds.
     """
     _check_compatible(a, b)
     pa, pb = a._plus, b._plus
@@ -207,22 +207,6 @@ def intersection_estimate(a: BottomKSketch, b: BottomKSketch) -> float:
         if v < tau:
             x += 1
     return x / tau
-
-
-def intersection_estimate_ie(a: BottomKSketch, b: BottomKSketch) -> float:
-    """Inclusion-exclusion intersection estimate, clamped at zero."""
-    _check_compatible(a, b)
-    est = a.size_estimate() + b.size_estimate() - union_estimate(a, b)
-    return est if est > 0.0 else 0.0
-
-
-def union_sketch(a: BottomKSketch, b: BottomKSketch) -> BottomKSketch:
-    """A (static) sketch summarizing the union of the two inputs."""
-    _check_compatible(a, b)
-    out = BottomKSketch(a.size, a.hasher or b.hasher)
-    out._plus = _merged_smallest(a, b)
-    out._plus_set = set(out._plus)
-    return out
 
 
 class SketchStore:

@@ -13,7 +13,7 @@ from streamfsm.engine import (
     recommended_sample_size,
     snapshot_lines,
 )
-from streamfsm.pattern import PatternKey
+from streamfsm.pattern import PatternKey, canonical_key
 from streamfsm.stream import generate_stream
 
 from conftest import add_event, brute_pattern_counts, del_event
@@ -35,6 +35,12 @@ def test_config_validation():
         EngineConfig(mode="bogus")
     with pytest.raises(EngineError):
         EngineConfig(tau=0.0)
+    # sketch-W estimates size-3 deltas only
+    with pytest.raises(EngineError):
+        EngineConfig(k=4, mode="osr", w_mode="sketch")
+    with pytest.raises(EngineError):
+        EngineConfig(k=2, mode="osr", w_mode="sketch")
+    EngineConfig(k=4, mode="osr", w_mode="exact")
     cfg = EngineConfig(sample_size=10)
     assert cfg.resolve_sample_size() == 10
     cfg2 = EngineConfig(num_vertex_labels=1, num_edge_labels=1, epsilon=0.1, delta=0.1)
@@ -113,6 +119,31 @@ def test_counts_track_bruteforce_on_dynamic_streams(mode, w_mode):
             assert approx.population == total
             approx.verify_invariants()
         exact.verify_counts()
+
+
+# sketch-W exists for k=3 only (test_config_validation)
+@pytest.mark.parametrize(
+    "mode,w_mode,k",
+    [("sr", "exact", 3), ("osr", "exact", 3), ("osr", "sketch", 3),
+     ("sr", "exact", 4), ("osr", "exact", 4)],
+)
+def test_sample_counts_match_recount_on_dynamic_streams(mode, w_mode, k):
+    """The per-pattern counts kept beside the slots equal a recount of the
+    slots after every event."""
+    length = 400 if k == 3 else 90
+    for seed in range(3):
+        events = generate_stream(
+            30, length, 2, 2, model="power-law", delete_fraction=0.3, seed=seed
+        )
+        eng = build_engine(
+            EngineConfig(k=k, mode=mode, w_mode=w_mode, dynamic=True, sample_size=10,
+                         sketch_size=4, seed=seed)
+        )
+        for ev in events:
+            eng.process_event(ev)
+            recount = Counter(canonical_key(inst) for inst in eng.reservoir.slots)
+            assert eng.estimate_frequencies().counts == dict(recount)
+            eng.verify_invariants()
 
 
 def test_exact_engine_generic_k4(rng):

@@ -223,14 +223,16 @@ def test_w_approx_quality_medium_graph(rng):
     assert errs[len(errs) // 2] <= 0.3
 
 
-def test_w_approx_k4_smoke(rng):
+def test_approx_deltas_reject_k4(rng):
     g = random_labeled_graph(rng, n=12, m=24)
     store = _store_for(g, size=8)
-    verts = sorted(g.labels)
-    u, v = verts[0], verts[1]
+    u, v = sorted(g.labels)[:2]
     if not g.has_edge(u, v):
         g.add_edge(u, g.labels[u], v, g.labels[v], 0)
         store.on_edge_added(u, v)
-    est = compute_w_approx(store, g, u, v, 4)
-    assert est >= 0.0
-    assert math.isfinite(est)
+    with pytest.raises(GraphError):
+        compute_w_approx(store, g, u, v, 4)
+    g.delete_edge(u, v)
+    store.on_edge_deleted(u, v)
+    with pytest.raises(GraphError):
+        compute_d_approx(store, g, u, v, 4)

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from streamfsm.graph import SubgraphInstance
+from streamfsm.pattern import canonical_key
 from streamfsm.sampling import (
     SampleInvariantError,
     SubgraphReservoir,
@@ -165,6 +166,60 @@ def test_members_containing_pair():
     res.insert(_inst(1, 2, 9), random.Random(0))
     got = sorted(m.vertices for m in res.members_containing_pair(1, 2))
     assert got == [(1, 2, 3), (1, 2, 9)]
+
+
+def _filled(*vertex_sets):
+    res = SubgraphReservoir(len(vertex_sets) + 1)
+    for vs in vertex_sets:
+        res.n_population += 1
+        res.insert(_inst(*vs), random.Random(0))
+    return res
+
+
+def test_members_containing_pair_smaller_v_bucket():
+    res = _filled((1, 2, 3), (1, 4, 5), (1, 6, 7), (1, 8, 9), (2, 10, 11))
+    assert len(res.index[2]) < len(res.index[1])
+    assert [m.vertices for m in res.members_containing_pair(1, 2)] == [(1, 2, 3)]
+    assert [m.vertices for m in res.members_containing_pair(2, 1)] == [(1, 2, 3)]
+
+
+def test_members_containing_pair_missing_v_bucket():
+    res = _filled((1, 2, 3), (1, 4, 5))
+    assert 99 not in res.index
+    assert res.members_containing_pair(1, 99) == []
+    assert res.members_containing_pair(99, 1) == []
+
+
+def test_members_containing_pair_sorted():
+    res = _filled((5, 9, 40), (5, 9, 12), (1, 5, 9), (5, 7, 9), (5, 6, 8))
+    got = [m.vertices for m in res.members_containing_pair(9, 5)]
+    assert got == [(1, 5, 9), (5, 7, 9), (5, 9, 12), (5, 9, 40)]
+
+
+def test_counts_follow_placements():
+    res = SubgraphReservoir(2)
+    wedge = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (1, 2, 0)))
+    tri = wedge.with_edge(1, 3, 0)
+    res.n_population = 1
+    res.insert(wedge, random.Random(0))
+    assert res.counts == {canonical_key(wedge): 1}
+    res.replace_modified((1, 2, 3), tri)
+    assert res.counts == {canonical_key(tri): 1}
+    assert res.keys == [canonical_key(tri)]
+    res.notify_deleted((1, 2, 3))
+    assert res.counts == {} and res.keys == []
+    res.verify()
+
+
+def test_verify_catches_stale_counts():
+    res = _filled((1, 2, 3))
+    res.counts[canonical_key(_inst(1, 2, 3))] += 1
+    with pytest.raises(SampleInvariantError):
+        res.verify()
+    res = _filled((1, 2, 3))
+    res.keys[0] = canonical_key(SubgraphInstance((1, 2, 3), (0, 0, 1), ((0, 1, 0), (1, 2, 0))))
+    with pytest.raises(SampleInvariantError):
+        res.verify()
 
 
 def test_index_exact_after_random_ops(rng):

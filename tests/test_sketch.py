@@ -10,7 +10,6 @@ from streamfsm.sketch import (
     VertexHasher,
     intersection_estimate,
     union_estimate,
-    union_sketch,
 )
 
 
@@ -116,20 +115,6 @@ def test_union_and_intersection_trivials():
         d.insert(h.value(x))
     assert intersection_estimate(c, d) == pytest.approx(c.size_estimate())
     assert union_estimate(c, d) == pytest.approx(c.size_estimate())
-
-
-def test_union_sketch_matches_direct_build():
-    h = VertexHasher(4)
-    a = BottomKSketch(6, h)
-    b = BottomKSketch(6, h)
-    for x in range(0, 30, 2):
-        a.insert(h.value(x))
-    for x in range(0, 30, 3):
-        b.insert(h.value(x))
-    direct = BottomKSketch(6, h)
-    for x in sorted(set(range(0, 30, 2)) | set(range(0, 30, 3))):
-        direct.insert(h.value(x))
-    assert union_sketch(a, b).smallest() == direct.smallest()
 
 
 def test_mismatched_sketches_rejected():
