@@ -19,7 +19,15 @@ from .exploration import compute_d_approx, compute_d_exact, new_vertex_sets
 from .graph import DynamicLabeledGraph, SubgraphInstance, is_connected
 from .pattern import PatternKey, canonical_key, count_patterns
 from .rng import substream, substream_seed
-from .sampling import SampleInvariantError, SubgraphReservoir, skip_rp, skip_rs
+from .sampling import (
+    CODE_RADIX,
+    SampleInvariantError,
+    SubgraphReservoir,
+    member_columns,
+    skip_rp,
+    skip_rs,
+    vertex_code,
+)
 from .sketch import SketchStore, VertexHasher, intersection_estimate
 from .stream import StreamEvent
 
@@ -174,12 +182,13 @@ def snapshot_lines(estimate: FrequencyEstimate, report: FrequentReport) -> list[
     return lines
 
 
-# Raw size-3 signature -> (vertex_labels, edges, pattern key). The raw
-# signature is the order that sorts the ids (u, v, w), the three vertex labels
-# and the three edge labels (None for an absent edge); it fixes the member's
-# label and edge tuples and its pattern class. Every k=3 member shares those
-# tuples with the other members of its signature and owns only its id tuple.
-# At most 6 * L^3 * (E + 1)^3 entries for L vertex and E edge labels.
+# Raw size-3 signature -> shape record (vertex_labels, edges, pattern key).
+# The raw signature is the order that sorts the ids (u, v, w), the three
+# vertex labels and the three edge labels (None for an absent edge); it fixes
+# the member's label and edge tuples and its pattern class. Every k=3 member
+# shares its record with the other members of its signature, so the sample
+# stores one int code and one shared reference per member. At most
+# 6 * L^3 * (E + 1)^3 entries for L vertex and E edge labels.
 _TRIPLES: dict[tuple, tuple] = {}
 
 # sorting order -> positions of u, v, w in the sorted id tuple
@@ -203,32 +212,35 @@ def _intern_triple(raw: tuple) -> tuple:
     return shared
 
 
-def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[SubgraphInstance, PatternKey]:
-    """Instance over {u, v, w} and its pattern key; a None edge label means
-    the edge is absent. The single builder of size-3 sample members."""
+def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[int, tuple]:
+    """The (code, shape) columns of the member over {u, v, w}; a None edge
+    label means the edge is absent. The single builder of size-3 sample
+    members: the code is ``vertex_code`` of the sorted ids, the shape the
+    interned record."""
+    x = CODE_RADIX
     if u < v:
         if v < w:
-            order, ids = 0, (u, v, w)
+            order, code = 0, (u * x + v) * x + w
         elif u < w:
-            order, ids = 1, (u, w, v)
+            order, code = 1, (u * x + w) * x + v
         else:
-            order, ids = 2, (w, u, v)
+            order, code = 2, (w * x + u) * x + v
     elif u < w:
-        order, ids = 3, (v, u, w)
+        order, code = 3, (v * x + u) * x + w
     elif v < w:
-        order, ids = 4, (v, w, u)
+        order, code = 4, (v * x + w) * x + u
     else:
-        order, ids = 5, (w, v, u)
+        order, code = 5, (w * x + v) * x + u
     raw = (order, lu, lv, lw, e_uv, e_uw, e_vw)
-    shared = _TRIPLES.get(raw)
-    if shared is None:
-        shared = _intern_triple(raw)
-    return SubgraphInstance(ids, shared[0], shared[1]), shared[2]
+    shape = _TRIPLES.get(raw)
+    if shape is None:
+        shape = _intern_triple(raw)
+    return code, shape
 
 
 def _graph_triple(
     g: DynamicLabeledGraph, u: int, v: int, w: int, e_uv: int | None
-) -> tuple[SubgraphInstance, PatternKey]:
+) -> tuple[int, tuple]:
     """_triple_member over {u, v, w} as the graph holds it, except that the
     (u, v) edge carries ``e_uv`` (None: absent)."""
     labels = g.labels
@@ -330,7 +342,7 @@ class ExactCountEngine(_EngineBase):
         raw = (lu, lv, lw, e_uv, e_uw, e_vw)
         key = self._memo3.get(raw)
         if key is None:
-            key = _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw)[1]
+            key = _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw)[1][2]
             self._memo3[raw] = key
         return key
 
@@ -493,11 +505,31 @@ class _SamplingEngineBase(_EngineBase):
             g = self.graph
             for inst in members:
                 w = _third_vertex(inst.vertices, u, v)
-                res.replace_modified(inst, *_graph_triple(g, u, v, w, le))
+                res.replace_modified(*_graph_triple(g, u, v, w, le))
         else:
             for inst in members:
-                res.replace_modified(inst.vertices, inst.with_edge(u, v, le))
+                res.replace_modified(*member_columns(inst.with_edge(u, v, le)))
         return len(members)
+
+    def _delete_members3(self, u: int, v: int) -> tuple[int, int]:
+        """After the graph dropped (u, v): re-materialise the sampled size-3
+        members over the pair that survive as wedges and drop the destroyed
+        ones (c1 grows). Returns the number modified and the number dropped."""
+        g = self.graph
+        res = self.reservoir
+        nu = g.adj[u]
+        nv = g.adj[v]
+        modified = dropped = 0
+        for inst in res.members_containing_pair(u, v):
+            vs = inst.vertices
+            w = _third_vertex(vs, u, v)
+            if w in nu and w in nv:
+                res.replace_modified(*_graph_triple(g, u, v, w, None))
+                modified += 1
+            else:
+                res.remove_destroyed(vertex_code(vs))
+                dropped += 1
+        return modified, dropped
 
     def _offer_new(self, build) -> bool:
         """One new-subgraph arrival: count it, run the admission coin, and
@@ -508,15 +540,15 @@ class _SamplingEngineBase(_EngineBase):
         rng = self.rng
         if debt == 0:
             if res.occupancy < res.capacity:
-                res.fill_free_slot(build())
+                res.fill_free_slot(*member_columns(build()))
                 return True
             if rng.random() < res.capacity / res.n_population:
-                res.replace_random_slot(build(), rng)
+                res.replace_random_slot(*member_columns(build()), rng)
                 return True
             return False
         if rng.random() < res.c1 / debt:
             res.c1 -= 1
-            res.fill_free_slot(build())
+            res.fill_free_slot(*member_columns(build()))
             return True
         res.c2 -= 1
         return False
@@ -564,13 +596,13 @@ class ReservoirEngine(_SamplingEngineBase):
                         res.c2 -= 1
                         continue
                     if side_u:
-                        inst, key = _triple_member(u, lu, v, lv, w, labels[w], le, nu[w], None)
+                        code, shape = _triple_member(u, lu, v, lv, w, labels[w], le, nu[w], None)
                     else:
-                        inst, key = _triple_member(u, lu, v, lv, w, labels[w], le, None, nv[w])
+                        code, shape = _triple_member(u, lu, v, lv, w, labels[w], le, None, nv[w])
                     if debt == 0 and res.occupancy >= cap:
-                        res.replace_random_slot(inst, rng, key)
+                        res.replace_random_slot(code, shape, rng)
                     else:
-                        res.fill_free_slot(inst, key)
+                        res.fill_free_slot(code, shape)
                     admitted += 1
             created = len(ex_u) + len(ex_v)
             return EventStats(created, 0, modified, admitted)
@@ -589,28 +621,20 @@ class ReservoirEngine(_SamplingEngineBase):
         res = self.reservoir
         u, v = ev.u, ev.v
         g.delete_edge(u, v)
-        modified = 0
         if self.k == 3:
+            modified, dropped = self._delete_members3(u, v)
             nu = g.adj[u]
             nv = g.adj[v]
-            for inst in res.members_containing_pair(u, v):
-                w = _third_vertex(inst.vertices, u, v)
-                if w in nu and w in nv:
-                    res.replace_modified(inst, *_graph_triple(g, u, v, w, None))
-                    modified += 1
-            ex_u = nu.keys() - nv.keys() - {v}
-            ex_v = nv.keys() - nu.keys() - {u}
-            for w in ex_u:
-                res.notify_deleted((u, v, w))
-            for w in ex_v:
-                res.notify_deleted((u, v, w))
-            return EventStats(0, len(ex_u) + len(ex_v), modified, 0)
-        destroyed = 0
+            destroyed = len(nu.keys() - nv.keys()) + len(nv.keys() - nu.keys())
+            res.n_population -= destroyed
+            res.c2 += destroyed - dropped  # remove_destroyed grew c1
+            return EventStats(0, destroyed, modified, 0)
+        modified = destroyed = 0
         for vset in g.candidate_vertex_sets(u, v, self.k):
             inst = g.induced_subgraph(vset)
             if is_connected(inst):
                 if vset in res:
-                    res.replace_modified(vset, inst)
+                    res.replace_modified(*member_columns(inst))
                     modified += 1
             else:
                 res.notify_deleted(vset)
@@ -739,12 +763,18 @@ class SkipReservoirEngine(_SamplingEngineBase):
                 pool = list(ex_u)
                 pool.extend(ex_v)
                 take = min(len(placements), len(pool))
+                labels = g.labels
+                lu = labels[u]
+                lv = labels[v]
                 for action, w in zip(placements, self.rng.sample(pool, take)):
-                    inst, key = _graph_triple(g, u, v, w, le)
+                    # w is adjacent to exactly one of u, v
+                    code, shape = _triple_member(
+                        u, lu, v, lv, w, labels[w], le, nu.get(w), nv.get(w)
+                    )
                     if action == _FILL:
-                        res.fill_free_slot(inst, key)
+                        res.fill_free_slot(code, shape)
                     else:
-                        res.replace_random_slot(inst, self.rng, key)
+                        res.replace_random_slot(code, shape, self.rng)
                     admitted += 1
             return EventStats(arrivals, 0, modified, admitted)
         # sizes other than 3 run exact-W only (EngineConfig)
@@ -754,11 +784,11 @@ class SkipReservoirEngine(_SamplingEngineBase):
         if placements:
             chosen = self.rng.sample(new_sets, len(placements))
             for action, vset in zip(placements, chosen):
-                inst = g.induced_subgraph(vset)
+                code, shape = member_columns(g.induced_subgraph(vset))
                 if action == _FILL:
-                    res.fill_free_slot(inst)
+                    res.fill_free_slot(code, shape)
                 else:
-                    res.replace_random_slot(inst, self.rng)
+                    res.replace_random_slot(code, shape, self.rng)
         return EventStats(len(new_sets), 0, modified, len(placements))
 
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
@@ -769,31 +799,23 @@ class SkipReservoirEngine(_SamplingEngineBase):
         g.delete_edge(u, v)
         if self.sketches is not None:
             self.sketches.on_edge_deleted(u, v)
-        modified = 0
-        hit_in_sample = 0
         if k == 3:
-            nu = g.adj[u]
-            nv = g.adj[v]
-            for inst in res.members_containing_pair(u, v):
-                w = _third_vertex(inst.vertices, u, v)
-                if w in nu and w in nv:
-                    res.replace_modified(inst, *_graph_triple(g, u, v, w, None))
-                    modified += 1
-                else:
-                    res.remove_destroyed(inst)
-                    hit_in_sample += 1
+            modified, hit_in_sample = self._delete_members3(u, v)
             if self.w_mode == "exact":
+                nu = g.adj[u]
+                nv = g.adj[v]
                 destroyed = len(nu.keys() - nv.keys()) + len(nv.keys() - nu.keys())
             else:
                 destroyed = int(round(compute_d_approx(self.sketches, g, u, v, k)))
         else:
+            modified = hit_in_sample = 0
             for inst in res.members_containing_pair(u, v):
                 post = g.induced_subgraph(inst.vertices)
                 if is_connected(post):
-                    res.replace_modified(inst.vertices, post)
+                    res.replace_modified(*member_columns(post))
                     modified += 1
                 else:
-                    res.remove_destroyed(inst.vertices)
+                    res.remove_destroyed(vertex_code(inst.vertices))
                     hit_in_sample += 1
             destroyed = compute_d_exact(g, u, v, k)  # exact-W only (EngineConfig)
         if destroyed < hit_in_sample:

@@ -1,12 +1,10 @@
 """Population deltas per edge event: exact and sketch-based counts of the
-subgraphs an insertion creates or a deletion destroys, and uniform sampling
+subgraphs an insertion creates or a deletion destroys, and the enumeration
 of the newly created ones."""
 
 from __future__ import annotations
 
-import random
-
-from .graph import DynamicLabeledGraph, GraphError, SubgraphInstance, is_connected
+from .graph import DynamicLabeledGraph, GraphError, is_connected
 from .sketch import SketchStore, intersection_estimate
 
 
@@ -68,39 +66,6 @@ def compute_d_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
         ex_u, ex_v = _exclusive_thirds(g, u, v)
         return len(ex_u) + len(ex_v)
     return len(new_vertex_sets(g, u, v, k))
-
-
-def materialize_new_instance(
-    g: DynamicLabeledGraph,
-    vset: tuple[int, ...],
-    u: int,
-    v: int,
-    edge_label: int,
-) -> SubgraphInstance:
-    """Induced instance for a newly connected set, including the (u, v) edge."""
-    inst = g.induced_subgraph(vset)
-    if not g.has_edge(u, v):
-        inst = inst.with_edge(u, v, edge_label)
-    return inst
-
-
-def sample_new_subgraph(
-    g: DynamicLabeledGraph,
-    u: int,
-    v: int,
-    k: int,
-    count: int,
-    rng: random.Random,
-    edge_label: int,
-) -> list[SubgraphInstance]:
-    """Uniformly sample, without replacement, ``count`` of the subgraphs the
-    (u, v) insertion newly connects, materialized with their post-insertion
-    induced edges."""
-    sets = new_vertex_sets(g, u, v, k)
-    if count > len(sets):
-        raise ValueError(f"asked for {count} new subgraphs, only {len(sets)} exist")
-    chosen = rng.sample(sets, count)
-    return [materialize_new_instance(g, vset, u, v, edge_label) for vset in chosen]
 
 
 def _exact_delta_current(g: DynamicLabeledGraph, u: int, v: int) -> int:

@@ -5,6 +5,11 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 
+# Vertex ids lie in [0, VERTEX_ID_LIMIT): the sample codes a vertex set as
+# the digits of one int, which needs a bounded digit.
+VERTEX_ID_LIMIT = 2**64
+
+
 class GraphError(ValueError):
     """Malformed graph operation: unknown vertex, self-loop, bad arguments."""
 
@@ -98,10 +103,10 @@ class DynamicLabeledGraph:
 
     def ensure_vertex(self, v: int, label: int) -> None:
         """Register a vertex, raising if it exists with a different label."""
-        if v < 0:
-            raise GraphError(f"vertex ids must be non-negative, got {v}")
         known = self.labels.get(v)
         if known is None:
+            if not 0 <= v < VERTEX_ID_LIMIT:
+                raise GraphError(f"vertex ids must lie in [0, 2**64), got {v}")
             self.labels[v] = label
             self.adj[v] = {}
         elif known != label:
@@ -158,28 +163,6 @@ class DynamicLabeledGraph:
         del self.adj[v][u]
         self.num_edges -= 1
         return True
-
-    def h_hop_neighborhood(self, u: int, hops: int) -> set[int]:
-        """Vertices at shortest-path distance 1..hops from u (u excluded)."""
-        if u not in self.labels:
-            raise GraphError(f"unknown vertex {u}")
-        result: set[int] = set()
-        if hops <= 0:
-            return result
-        visited = {u}
-        frontier = [u]
-        for _ in range(hops):
-            nxt: list[int] = []
-            for x in frontier:
-                for y in self.adj[x]:
-                    if y not in visited:
-                        visited.add(y)
-                        result.add(y)
-                        nxt.append(y)
-            if not nxt:
-                break
-            frontier = nxt
-        return result
 
     def induced_subgraph(self, vertices: Iterable[int]) -> SubgraphInstance:
         """Materialize the induced subgraph on the given vertex set."""
@@ -297,11 +280,3 @@ class DynamicLabeledGraph:
                     raise GraphError(f"asymmetric edge ({u}, {v}): {lab} vs {back}")
         if half != 2 * self.num_edges:
             raise GraphError(f"edge count {self.num_edges} != half degree sum {half / 2}")
-
-    def state_digest(self) -> str:
-        """Deterministic text rendering of the full graph state."""
-        parts = [f"n={self.num_vertices} m={self.num_edges}"]
-        for v in sorted(self.labels):
-            nbrs = ",".join(f"{w}:{lab}" for w, lab in sorted(self.adj[v].items()))
-            parts.append(f"{v}({self.labels[v]})->{nbrs}")
-        return "\n".join(parts)

@@ -5,15 +5,18 @@ under insertions (classic reservoir step) and deletions (pairing each later
 insertion against an uncompensated deletion, tracked by the c1/c2 split).
 A vertex index gives constant-expected-time access to the sample members an
 edge event can touch, and per-pattern counts kept beside the slots make a
-frequency report cost O(pattern classes), not O(sample size).
+frequency report cost O(pattern classes), not O(sample size). The sample is
+held in columns of ints and shared records, so a full sample adds no work to
+the garbage collector.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from math import lgamma, log
 
-from .graph import SubgraphInstance
+from .graph import VERTEX_ID_LIMIT, SubgraphInstance
 from .pattern import PatternKey, canonical_key
 
 
@@ -21,52 +24,121 @@ class SampleInvariantError(RuntimeError):
     """The sample state contradicts its own bookkeeping (upstream bug)."""
 
 
-def _identity(inst_or_vertices) -> tuple[int, ...]:
-    if isinstance(inst_or_vertices, SubgraphInstance):
-        return inst_or_vertices.vertices
-    return tuple(sorted(inst_or_vertices))
+# A member's identity is its ascending vertex ids read as the digits of one
+# int in radix CODE_RADIX: injective for ids below VERTEX_ID_LIMIT, ordered
+# like the vertex tuples (members of one size), and, with the golden-ratio
+# offset on the radix, spread apart by int hashing, which reduces modulo
+# 2**61 - 1 (a radix of 2**64 alone reduces to 8, and distinct codes would
+# share hashes). An int is never tracked by the garbage collector.
+CODE_RADIX = VERTEX_ID_LIMIT + 0x9E3779B97F4A7C15
+
+
+def vertex_code(vertices) -> int:
+    """Identity code of the vertex set given by ascending ``vertices``."""
+    code = 0
+    for v in vertices:
+        if not 0 <= v < VERTEX_ID_LIMIT:
+            raise ValueError(f"vertex id {v} outside [0, 2**64)")
+        code = code * CODE_RADIX + v
+    return code
+
+
+def _decode(code: int, size: int) -> tuple[int, ...]:
+    if size == 3:
+        rest, c = divmod(code, CODE_RADIX)
+        a, b = divmod(rest, CODE_RADIX)
+        return a, b, c
+    out = []
+    for _ in range(size):
+        code, v = divmod(code, CODE_RADIX)
+        out.append(v)
+    out.reverse()
+    return tuple(out)
+
+
+def member_columns(inst: SubgraphInstance) -> tuple[int, tuple]:
+    """The (code, shape) pair under which ``inst`` is stored, for members
+    built elsewhere; its shape record is not shared."""
+    return vertex_code(inst.vertices), (inst.vertex_labels, inst.edges, canonical_key(inst))
+
+
+def _member(code: int, shape: tuple) -> SubgraphInstance:
+    labels = shape[0]
+    return SubgraphInstance(_decode(code, len(labels)), labels, shape[1])
+
+
+class _SlotView(Sequence):
+    """Read-only sequence of a reservoir's members, each built on access."""
+
+    __slots__ = ("_res",)
+
+    def __init__(self, reservoir: "SubgraphReservoir") -> None:
+        self._res = reservoir
+
+    def __len__(self) -> int:
+        return len(self._res.codes)
+
+    def __getitem__(self, idx: int) -> SubgraphInstance:
+        res = self._res
+        return _member(res.codes[idx], res.shapes[idx])
+
+    def __iter__(self):
+        return map(_member, self._res.codes, self._res.shapes)
 
 
 class SubgraphReservoir:
-    """Uniform fixed-capacity sample of subgraph instances.
+    """Uniform fixed-capacity sample of subgraph instances, stored as columns.
 
     State:
-      * ``slots``: the sample, order-insignificant and kept compact;
-      * ``keys``: the pattern key of each slot, aligned with ``slots``;
+      * ``codes``: each slot's identity, the ``vertex_code`` of its vertex
+        set; slot order is insignificant and the slots stay compact;
+      * ``shapes``: each slot's ``(vertex_labels, edges, pattern key)``
+        record, aligned with ``codes``; a record is shared by every member
+        of the same shape when the caller interns it (size-3 members do);
       * ``counts``: sampled members per pattern key (no zero entries);
       * ``n_population``: current number of live subgraphs in the graph;
       * ``c1``/``c2``: uncompensated deletions that did / did not hit the
         sample (their sum is the pairing debt);
-      * a vertex index mapping vertex id -> identities of sample members
-        containing it.
+      * ``_pos``: code -> slot, and ``index``: vertex id -> codes of the
+        members containing it.
 
-    Placements take the member's pattern key from the caller, who usually
-    has it at hand; without one it is computed with ``canonical_key``.
+    Nothing per member is an object the garbage collector tracks: codes are
+    ints, and a shared shape record is one object however many members use
+    it. ``slots`` builds ``SubgraphInstance`` members on access. All members
+    of one reservoir have the same size (codes of different sizes collide).
+    Placements take a member as its ``(code, shape)`` pair.
     """
 
-    __slots__ = (
-        "capacity", "slots", "keys", "counts", "n_population", "c1", "c2", "_pos", "index"
-    )
+    __slots__ = ("capacity", "codes", "shapes", "counts", "n_population", "c1", "c2",
+                 "_pos", "index")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.slots: list[SubgraphInstance] = []
-        self.keys: list[PatternKey] = []
+        self.codes: list[int] = []
+        self.shapes: list[tuple] = []
         self.counts: dict[PatternKey, int] = {}
         self.n_population = 0
         self.c1 = 0
         self.c2 = 0
-        self._pos: dict[tuple[int, ...], int] = {}
-        self.index: dict[int, set[tuple[int, ...]]] = {}
+        self._pos: dict[int, int] = {}
+        self.index: dict[int, set[int]] = {}
 
     @property
     def occupancy(self) -> int:
-        return len(self.slots)
+        return len(self.codes)
+
+    @property
+    def slots(self) -> _SlotView:
+        return _SlotView(self)
 
     def __contains__(self, inst_or_vertices) -> bool:
-        return _identity(inst_or_vertices) in self._pos
+        if isinstance(inst_or_vertices, SubgraphInstance):
+            vertices = inst_or_vertices.vertices
+        else:
+            vertices = sorted(inst_or_vertices)
+        return vertex_code(vertices) in self._pos
 
     def members_containing_pair(self, u: int, v: int) -> list[SubgraphInstance]:
         """Sample members whose vertex set contains both u and v, in
@@ -78,50 +150,9 @@ class SubgraphReservoir:
         bv = index.get(v)
         if not bv:
             return []
-        slots = self.slots
+        shapes = self.shapes
         pos = self._pos
-        return [slots[pos[vset]] for vset in sorted(bu & bv)]
-
-    def _add(self, inst: SubgraphInstance, key: PatternKey | None) -> None:
-        vset = inst.vertices
-        pos = self._pos
-        if vset in pos:
-            raise SampleInvariantError(f"subgraph {vset} already sampled")
-        if key is None:
-            key = canonical_key(inst)
-        pos[vset] = len(self.slots)
-        self.slots.append(inst)
-        self.keys.append(key)
-        counts = self.counts
-        counts[key] = counts.get(key, 0) + 1
-        index = self.index
-        for v in vset:
-            bucket = index.get(v)
-            if bucket is None:
-                index[v] = {vset}
-            else:
-                bucket.add(vset)
-
-    def _remove_at(self, idx: int) -> SubgraphInstance:
-        slots = self.slots
-        keys = self.keys
-        inst = slots[idx]
-        vset = inst.vertices
-        del self._pos[vset]
-        index = self.index
-        for v in vset:
-            bucket = index[v]
-            bucket.remove(vset)
-            if not bucket:
-                del index[v]
-        self._uncount(keys[idx])
-        last = slots.pop()
-        last_key = keys.pop()
-        if idx < len(slots):
-            slots[idx] = last
-            keys[idx] = last_key
-            self._pos[last.vertices] = idx
-        return inst
+        return [_member(code, shapes[pos[code]]) for code in sorted(bu & bv)]
 
     def _uncount(self, key: PatternKey) -> None:
         counts = self.counts
@@ -130,6 +161,51 @@ class SubgraphReservoir:
             counts[key] = c
         else:
             del counts[key]
+
+    def _add(self, code: int, shape: tuple) -> None:
+        pos = self._pos
+        if code in pos:
+            raise SampleInvariantError(f"subgraph {_decode(code, len(shape[0]))} already sampled")
+        pos[code] = len(self.codes)
+        self.codes.append(code)
+        self.shapes.append(shape)
+        counts = self.counts
+        key = shape[2]
+        counts[key] = counts.get(key, 0) + 1
+        index = self.index
+        for v in _decode(code, len(shape[0])):
+            bucket = index.get(v)
+            if bucket is None:
+                index[v] = {code}
+            else:
+                bucket.add(code)
+
+    def _remove_at(self, idx: int) -> None:
+        codes = self.codes
+        shapes = self.shapes
+        code = codes[idx]
+        shape = shapes[idx]
+        pos = self._pos
+        del pos[code]
+        index = self.index
+        for v in _decode(code, len(shape[0])):
+            bucket = index[v]
+            bucket.remove(code)
+            if not bucket:
+                del index[v]
+        self._uncount(shape[2])
+        last = codes.pop()
+        last_shape = shapes.pop()
+        if idx < len(codes):
+            codes[idx] = last
+            shapes[idx] = last_shape
+            pos[last] = idx
+
+    def _slot_of(self, code: int) -> int:
+        idx = self._pos.get(code)
+        if idx is None:
+            raise SampleInvariantError(f"subgraph with code {code} is not in the sample")
+        return idx
 
     def insert(self, inst: SubgraphInstance, rng: random.Random) -> bool:
         """Classic reservoir step for one new subgraph.
@@ -140,12 +216,12 @@ class SubgraphReservoir:
         """
         if self.n_population < 1:
             raise SampleInvariantError("insert before the arrival was counted")
-        if len(self.slots) < self.capacity:
-            self._add(inst, None)
+        if len(self.codes) < self.capacity:
+            self._add(*member_columns(inst))
             return True
         if rng.random() < self.capacity / self.n_population:
             self._remove_at(rng.randrange(self.capacity))
-            self._add(inst, None)
+            self._add(*member_columns(inst))
             return True
         return False
 
@@ -156,24 +232,25 @@ class SubgraphReservoir:
         if debt == 0:
             return self.insert(inst, rng)
         if rng.random() < self.c1 / debt:
-            if len(self.slots) >= self.capacity:
+            if len(self.codes) >= self.capacity:
                 raise SampleInvariantError("c1 > 0 with a full sample")
             self.c1 -= 1
-            self._add(inst, None)
+            self._add(*member_columns(inst))
             return True
         self.c2 -= 1
         return False
 
-    def notify_deleted(self, inst_or_vertices) -> bool:
-        """Record that a live subgraph was destroyed by the current event.
+    def notify_deleted(self, vertices) -> bool:
+        """Record that the live subgraph over ``vertices`` was destroyed by
+        the current event.
 
         Removes it from the sample when present (c1 grows), otherwise c2
         grows; the population count drops either way. Returns True when the
         subgraph was sampled.
         """
-        vset = _identity(inst_or_vertices)
+        code = vertex_code(sorted(vertices))
         self.n_population -= 1
-        idx = self._pos.get(vset)
+        idx = self._pos.get(code)
         if idx is not None:
             self._remove_at(idx)
             self.c1 += 1
@@ -181,89 +258,75 @@ class SubgraphReservoir:
         self.c2 += 1
         return False
 
-    def remove_destroyed(self, identity) -> None:
+    def remove_destroyed(self, code: int) -> None:
         """Drop a destroyed sampled subgraph, growing c1.
 
         Population accounting is the caller's; used when deletion deltas
         are applied in bulk rather than per subgraph.
         """
-        vset = _identity(identity)
-        idx = self._pos.get(vset)
-        if idx is None:
-            raise SampleInvariantError(f"subgraph {vset} is not in the sample")
-        self._remove_at(idx)
+        self._remove_at(self._slot_of(code))
         self.c1 += 1
 
-    def replace_modified(
-        self, old_identity, new_inst: SubgraphInstance, key: PatternKey | None = None
-    ) -> None:
-        """Swap a sampled instance for its modified version, in place.
+    def replace_modified(self, code: int, shape: tuple) -> None:
+        """Give a sampled member the shape of its modified version, in place.
 
         Same vertex set, different induced edges; the pattern counts follow
         the new key, the population counters and the index do not change.
         """
-        vset = _identity(old_identity)
-        if new_inst.vertices != vset:
-            raise SampleInvariantError(
-                f"replacement must keep the vertex set: {vset} vs {new_inst.vertices}"
-            )
-        idx = self._pos.get(vset)
-        if idx is None:
-            raise SampleInvariantError(f"subgraph {vset} is not in the sample")
-        if key is None:
-            key = canonical_key(new_inst)
-        self._uncount(self.keys[idx])
+        idx = self._slot_of(code)
+        shapes = self.shapes
+        self._uncount(shapes[idx][2])
         counts = self.counts
+        key = shape[2]
         counts[key] = counts.get(key, 0) + 1
-        self.slots[idx] = new_inst
-        self.keys[idx] = key
+        shapes[idx] = shape
 
-    # Lower-level placements used by the skip-optimized engines, where the
-    # admission decision has already been taken by a skip counter.
+    # Lower-level placements used by the engines, where the admission
+    # decision has already been taken (by a coin or a skip counter).
 
-    def fill_free_slot(self, inst: SubgraphInstance, key: PatternKey | None = None) -> None:
-        if len(self.slots) >= self.capacity:
+    def fill_free_slot(self, code: int, shape: tuple) -> None:
+        if len(self.codes) >= self.capacity:
             raise SampleInvariantError("no free slot to fill")
-        self._add(inst, key)
+        self._add(code, shape)
 
-    def replace_random_slot(
-        self, inst: SubgraphInstance, rng: random.Random, key: PatternKey | None = None
-    ) -> None:
-        if len(self.slots) != self.capacity:
+    def replace_random_slot(self, code: int, shape: tuple, rng: random.Random) -> None:
+        if len(self.codes) != self.capacity:
             raise SampleInvariantError("random replacement needs a full sample")
         self._remove_at(rng.randrange(self.capacity))
-        self._add(inst, key)
-
-    def dump_lines(self) -> list[str]:
-        """Debug dump, one stable line per slot."""
-        out = []
-        for slot_id, (inst, key) in enumerate(zip(self.slots, self.keys)):
-            ids = ",".join(str(v) for v in inst.vertices)
-            out.append(f"{slot_id}\t{ids}\t{key.text()}")
-        return out
+        self._add(code, shape)
 
     def verify(self) -> None:
         """Check the index and position maps, the per-slot pattern keys and
         the per-pattern counts against the slots; raises."""
-        if len(self.slots) > self.capacity:
+        codes = self.codes
+        if len(codes) > self.capacity:
             raise SampleInvariantError("occupancy exceeds capacity")
         if self.c1 < 0 or self.c2 < 0 or self.n_population < 0:
             raise SampleInvariantError("negative counter")
-        if len(self.slots) > self.n_population:
+        if len(codes) > self.n_population:
             raise SampleInvariantError("occupancy exceeds population")
-        if len(self._pos) != len(self.slots) or len(self.keys) != len(self.slots):
-            raise SampleInvariantError("position map or key list out of sync")
-        fresh: dict[int, set[tuple[int, ...]]] = {}
+        if len(self._pos) != len(codes) or len(self.shapes) != len(codes):
+            raise SampleInvariantError("position map or shape column out of sync")
+        fresh: dict[int, set[int]] = {}
         counts: dict[PatternKey, int] = {}
-        for idx, inst in enumerate(self.slots):
-            if self._pos.get(inst.vertices) != idx:
-                raise SampleInvariantError(f"bad position for {inst.vertices}")
-            for v in inst.vertices:
-                fresh.setdefault(v, set()).add(inst.vertices)
+        sizes = set()
+        for idx, (code, inst) in enumerate(zip(codes, self.slots)):
+            vs = inst.vertices
+            if self._pos.get(code) != idx:
+                raise SampleInvariantError(f"bad position for {vs}")
+            if vs[0] < 0 or vs[-1] >= VERTEX_ID_LIMIT or any(
+                a >= b for a, b in zip(vs, vs[1:])
+            ):
+                raise SampleInvariantError(f"code {code} is not an ascending vertex set")
+            sizes.add(len(vs))
+            for v in vs:
+                fresh.setdefault(v, set()).add(code)
             key = canonical_key(inst)
-            if self.keys[idx] != key:
-                raise SampleInvariantError(f"stale pattern key for {inst.vertices}")
+            if self.shapes[idx][2] != key:
+                raise SampleInvariantError(f"stale pattern key for {vs}")
             counts[key] = counts.get(key, 0) + 1
+        if len(sizes) > 1:
+            raise SampleInvariantError(f"members of sizes {sorted(sizes)} in one sample")
         if fresh != self.index:
             raise SampleInvariantError("vertex index out of sync with slots")
         if counts != self.counts:

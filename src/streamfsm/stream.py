@@ -6,7 +6,7 @@ comment line and blank lines are skipped:
     + <u> <label_u> <v> <label_v> <label_e>     edge insertion
     - <u> <v>                                   edge deletion
 
-Ids and labels are unsigned integers.
+Ids and labels are unsigned integers; vertex ids lie below 2**64.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import random
 import re
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple
+
+from .graph import VERTEX_ID_LIMIT
 
 
 class StreamFormatError(ValueError):
@@ -48,7 +50,7 @@ def parse_event(line: str, lineno: int = 0) -> StreamEvent | None:
     tokens = list(_TOKEN.finditer(line))
     op = tokens[0].group()
 
-    def intfield(idx: int, what: str) -> int:
+    def intfield(idx: int, what: str, limit: int | None = None) -> int:
         if idx >= len(tokens):
             raise StreamFormatError(f"missing {what}", lineno, len(line) + 1)
         tok = tokens[idx]
@@ -62,6 +64,8 @@ def parse_event(line: str, lineno: int = 0) -> StreamEvent | None:
             ) from None
         if val < 0:
             raise StreamFormatError(f"{what} must be non-negative", lineno, tok.start() + 1)
+        if limit is not None and val >= limit:
+            raise StreamFormatError(f"{what} must be below 2**64", lineno, tok.start() + 1)
         return val
 
     if op == "+":
@@ -69,9 +73,9 @@ def parse_event(line: str, lineno: int = 0) -> StreamEvent | None:
             raise StreamFormatError(
                 f"insertion takes 5 fields, got {len(tokens) - 1}", lineno, 1
             )
-        u = intfield(1, "source vertex")
+        u = intfield(1, "source vertex", VERTEX_ID_LIMIT)
         lu = intfield(2, "source label")
-        v = intfield(3, "target vertex")
+        v = intfield(3, "target vertex", VERTEX_ID_LIMIT)
         lv = intfield(4, "target label")
         le = intfield(5, "edge label")
         if u == v:
@@ -82,8 +86,8 @@ def parse_event(line: str, lineno: int = 0) -> StreamEvent | None:
             raise StreamFormatError(
                 f"deletion takes 2 fields, got {len(tokens) - 1}", lineno, 1
             )
-        u = intfield(1, "source vertex")
-        v = intfield(2, "target vertex")
+        u = intfield(1, "source vertex", VERTEX_ID_LIMIT)
+        v = intfield(2, "target vertex", VERTEX_ID_LIMIT)
         if u == v:
             raise StreamFormatError("self-loop", lineno, tokens[2].start() + 1)
         return StreamEvent("-", u, v)

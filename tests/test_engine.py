@@ -129,12 +129,15 @@ def test_counts_track_bruteforce_on_dynamic_streams(mode, w_mode):
 )
 def test_sample_counts_match_recount_on_dynamic_streams(mode, w_mode, k):
     """The per-pattern counts kept beside the slots equal a recount of the
-    slots after every event."""
+    slots after every event, also with vertex ids on both sides of 2**63."""
     length = 400 if k == 3 else 90
-    for seed in range(3):
-        events = generate_stream(
-            30, length, 2, 2, model="power-law", delete_fraction=0.3, seed=seed
-        )
+    for seed, offset in ((0, 0), (1, 0), (2, 0), (0, 2**63 - 15)):
+        events = [
+            ev._replace(u=ev.u + offset, v=ev.v + offset)
+            for ev in generate_stream(
+                30, length, 2, 2, model="power-law", delete_fraction=0.3, seed=seed
+            )
+        ]
         eng = build_engine(
             EngineConfig(k=k, mode=mode, w_mode=w_mode, dynamic=True, sample_size=10,
                          sketch_size=4, seed=seed)

@@ -1,6 +1,4 @@
-import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -10,7 +8,6 @@ from streamfsm.exploration import (
     compute_w_approx,
     compute_w_exact,
     new_vertex_sets,
-    sample_new_subgraph,
 )
 from streamfsm.graph import DynamicLabeledGraph, GraphError
 from streamfsm.sketch import SketchStore, VertexHasher
@@ -118,39 +115,6 @@ def test_partition_identity(rng):
             ]
             assert len(cands) == len(modified) + len(new)
             assert set(new).isdisjoint(modified)
-
-
-def test_sample_new_subgraph_degenerate_and_exhaustive(rng):
-    u, v = 1, 2
-    g = _graph([(u, 3), (u, 4), (u, 5), (v, 6), (v, 7)])
-    sets = new_vertex_sets(g, u, v, 3)
-    assert len(sets) == 5
-    got = sample_new_subgraph(g, u, v, 3, 5, rng, edge_label=9)
-    assert sorted(i.vertices for i in got) == sets
-    for inst in got:
-        # carries the new edge with its label
-        iu, iv = inst.vertices.index(u), inst.vertices.index(v)
-        lo, hi = min(iu, iv), max(iu, iv)
-        assert (lo, hi, 9) in inst.edges
-    only = _graph([(u, 3)])
-    only.ensure_vertex(v, 0)
-    one = sample_new_subgraph(only, u, v, 3, 1, rng, edge_label=0)
-    assert one[0].vertices == (1, 2, 3)
-    with pytest.raises(ValueError):
-        sample_new_subgraph(only, u, v, 3, 2, rng, edge_label=0)
-
-
-def test_sample_new_subgraph_uniform(rng):
-    u, v = 1, 2
-    g = _graph([(u, 3), (u, 4), (v, 5), (v, 6)])
-    trials = 20000
-    counts = Counter()
-    for seed in range(trials):
-        pick = sample_new_subgraph(g, u, v, 3, 1, random.Random(seed), edge_label=0)
-        counts[pick[0].vertices] += 1
-    sigma = math.sqrt(0.25 * 0.75 / trials)
-    for vset, c in counts.items():
-        assert abs(c / trials - 0.25) <= 4 * sigma, (vset, c)
 
 
 def _store_for(g, size=8, seed=1):

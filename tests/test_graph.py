@@ -50,6 +50,19 @@ def test_self_loop_rejected():
         g.add_edge(4, 0, 4, 0, 0)
 
 
+def test_vertex_ids_below_2_pow_64():
+    g = DynamicLabeledGraph()
+    top = 2**64 - 1
+    g.add_edge(top, 0, 0, 1, 0)
+    assert g.vertex_label(top) == 0 and g.has_edge(0, top)
+    for bad in (2**64, -1):
+        with pytest.raises(GraphError):
+            g.ensure_vertex(bad, 0)
+        with pytest.raises(GraphError):
+            g.add_edge(bad, 0, 1, 0, 0)
+    assert bad not in g.labels
+
+
 def test_delete_keeps_vertices():
     g = DynamicLabeledGraph()
     g.add_edge(1, 0, 2, 1, 0)
@@ -73,43 +86,6 @@ def test_delete_triangle_edge():
     g.delete_edge(1, 2)
     assert set(g.neighbors(1)) == {3}
     assert set(g.neighbors(2)) == {3}
-
-
-def test_h_hop_path():
-    g = DynamicLabeledGraph()
-    g.add_edge(1, 0, 2, 0, 0)
-    g.add_edge(2, 0, 3, 0, 0)
-    assert g.h_hop_neighborhood(1, 2) == {2, 3}
-    assert g.h_hop_neighborhood(1, 1) == {2}
-    assert g.h_hop_neighborhood(1, 0) == set()
-
-
-def test_h_hop_triangle_and_errors():
-    g = DynamicLabeledGraph()
-    for a, b in ((1, 2), (2, 3), (1, 3)):
-        g.add_edge(a, 0, b, 0, 0)
-    assert g.h_hop_neighborhood(1, 1) == {2, 3}
-    with pytest.raises(GraphError):
-        g.h_hop_neighborhood(99, 1)
-
-
-def test_h_hop_matches_bfs_reference(rng):
-    for _ in range(25):
-        g = random_labeled_graph(rng, n=50, m=rng.randrange(20, 120))
-        adj = graph_adj_sets(g)
-        u = rng.randrange(50)
-        if u not in g.labels:
-            continue
-        h = rng.randrange(0, 5)
-        # plain BFS by levels
-        expect = set()
-        frontier = {u}
-        seen = {u}
-        for _ in range(h):
-            frontier = {y for x in frontier for y in adj.get(x, ())} - seen
-            seen |= frontier
-            expect |= frontier
-        assert g.h_hop_neighborhood(u, h) == expect
 
 
 def test_induced_subgraph_cases():
@@ -210,4 +186,4 @@ def test_symmetry_and_replay_determinism(rng):
         return g
 
     g1, g2 = replay(), replay()
-    assert g1.state_digest() == g2.state_digest()
+    assert (g1.labels, g1.adj, g1.num_edges) == (g2.labels, g2.adj, g2.num_edges)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -5,15 +6,18 @@ from collections import Counter
 import pytest
 from scipy import stats
 
+from streamfsm.engine import _triple_member
 from streamfsm.graph import SubgraphInstance
 from streamfsm.pattern import canonical_key
 from streamfsm.sampling import (
     SampleInvariantError,
     SubgraphReservoir,
+    member_columns,
     skip_rp,
     skip_rp_sequential,
     skip_rs,
     skip_rs_sequential,
+    vertex_code,
 )
 
 from conftest import pmf_skip_rp, pmf_skip_rs
@@ -146,12 +150,12 @@ def test_replace_modified_neutral():
     res.insert(wedge, random.Random(0))
     snapshot = (res.occupancy, res.n_population, res.c1, res.c2)
     tri = wedge.with_edge(1, 3, 0)
-    res.replace_modified((1, 2, 3), tri)
+    res.replace_modified(*member_columns(tri))
     assert (res.occupancy, res.n_population, res.c1, res.c2) == snapshot
     assert res.slots[0] == tri
     res.verify()
     with pytest.raises(SampleInvariantError):
-        res.replace_modified((7, 8, 9), _inst(7, 8, 9))
+        res.replace_modified(*member_columns(_inst(7, 8, 9)))
 
 
 def test_members_containing_pair():
@@ -203,11 +207,11 @@ def test_counts_follow_placements():
     res.n_population = 1
     res.insert(wedge, random.Random(0))
     assert res.counts == {canonical_key(wedge): 1}
-    res.replace_modified((1, 2, 3), tri)
+    res.replace_modified(*member_columns(tri))
     assert res.counts == {canonical_key(tri): 1}
-    assert res.keys == [canonical_key(tri)]
+    assert [shape[2] for shape in res.shapes] == [canonical_key(tri)]
     res.notify_deleted((1, 2, 3))
-    assert res.counts == {} and res.keys == []
+    assert res.counts == {} and res.shapes == [] and res.codes == []
     res.verify()
 
 
@@ -217,7 +221,9 @@ def test_verify_catches_stale_counts():
     with pytest.raises(SampleInvariantError):
         res.verify()
     res = _filled((1, 2, 3))
-    res.keys[0] = canonical_key(SubgraphInstance((1, 2, 3), (0, 0, 1), ((0, 1, 0), (1, 2, 0))))
+    labels, edges, _ = res.shapes[0]
+    stale = canonical_key(SubgraphInstance((1, 2, 3), (0, 0, 1), ((0, 1, 0), (1, 2, 0))))
+    res.shapes[0] = (labels, edges, stale)
     with pytest.raises(SampleInvariantError):
         res.verify()
 
@@ -244,12 +250,61 @@ def test_index_exact_after_random_ops(rng):
         res.verify()
 
 
-def test_dump_lines_stable():
-    res = SubgraphReservoir(3)
-    res.n_population = 1
-    res.insert(_inst(2, 5, 9), random.Random(0))
-    lines = res.dump_lines()
-    assert lines == ["0\t2,5,9\tk=3;V=0,0,0;E=(0,1,0),(0,2,0)"]
+def test_vertex_codes_order_and_bound():
+    top = 2**64 - 1
+    sets = [(0, 1, 2), (0, 1, top), (0, 2, 3), (1, 2, 3), (5, top - 1, top), (top - 2, top - 1, top)]
+    codes = [vertex_code(vs) for vs in sets]
+    assert codes == sorted(codes) and len(set(codes)) == len(codes)
+    with pytest.raises(ValueError):
+        vertex_code((1, 2, 2**64))
+    with pytest.raises(ValueError):
+        vertex_code((-1, 2, 3))
+    res = _filled(*sets)
+    res.verify()
+    assert [m.vertices for m in res.slots] == sets
+    got = [m.vertices for m in res.members_containing_pair(top, top - 1)]
+    assert got == [(5, top - 1, top), (top - 2, top - 1, top)]
+
+
+def test_vertex_codes_hash_apart():
+    rng = random.Random(11)
+    sets = {tuple(sorted(rng.sample(range(100_000), 3))) for _ in range(20_000)}
+    assert len({hash(vertex_code(vs)) for vs in sets}) == len(sets)
+
+
+def test_slots_view_is_read_only_and_sized():
+    res = _filled((1, 2, 3), (4, 5, 6))
+    view = res.slots
+    assert len(view) == 2 and view[-1] == _inst(4, 5, 6)
+    assert list(view) == [_inst(1, 2, 3), _inst(4, 5, 6)]
+    with pytest.raises(TypeError):
+        view[0] = _inst(7, 8, 9)
+
+
+def _tracked() -> int:
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def test_size3_sample_is_invisible_to_the_collector():
+    """A full sample of size-3 members adds one tracked object per index
+    bucket and none per member; replacements on it add none."""
+    rng = random.Random(3)
+    triples = [tuple(rng.sample(range(3000), 3)) for _ in range(60_000)]
+    triples = list(dict.fromkeys(tuple(sorted(t)) for t in triples))
+    fill, later = triples[:50_000], triples[50_000:51_000]
+    vertices = {x for t in fill for x in t}
+    res = SubgraphReservoir(len(fill))
+    res.n_population = len(fill)
+    before = _tracked()
+    for u, v, w in fill:
+        res.fill_free_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None))
+    assert _tracked() - before < len(vertices) + 20
+    before = _tracked()
+    for u, v, w in later:
+        res.n_population += 1
+        res.replace_random_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None), rng)
+    assert _tracked() <= before
 
 
 # --- skip counters --------------------------------------------------------

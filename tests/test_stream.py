@@ -42,6 +42,18 @@ def test_parse_errors_carry_position():
             parse_event(bad)
 
 
+def test_parse_vertex_ids_below_2_pow_64():
+    top = 2**64 - 1
+    assert parse_event(f"+ {top} 0 2 1 0") == StreamEvent("+", top, 2, 0, 1, 0)
+    assert parse_event(f"- 2 {top}") == StreamEvent("-", 2, top)
+    for line, col in ((f"+ 1 0 {2**64} 1 0", 7), (f"- {2**64} 3", 3)):
+        with pytest.raises(StreamFormatError) as err:
+            parse_event(line, lineno=4)
+        assert (err.value.lineno, err.value.col) == (4, col)
+    # labels are not vertex ids and stay unbounded
+    assert parse_event(f"+ 1 {2**64} 2 0 0").label_u == 2**64
+
+
 def test_round_trip():
     lines = ["+ 1 0 2 1 0", "- 1 2", "+ 9 3 4 2 5"]
     for line in lines:
