@@ -20,13 +20,16 @@ from .graph import DynamicLabeledGraph, SubgraphInstance, is_connected
 from .pattern import PatternKey, canonical_key, count_patterns
 from .rng import substream, substream_seed
 from .sampling import (
+    CLASS_KEYS,
+    CLASS_TEXTS,
     CODE_RADIX,
     SampleInvariantError,
     SubgraphReservoir,
+    class_id,
+    decode_vertices,
     member_columns,
     skip_rp,
     skip_rs,
-    vertex_code,
 )
 from .sketch import SketchStore, VertexHasher, intersection_estimate
 from .stream import StreamEvent
@@ -182,7 +185,7 @@ def snapshot_lines(estimate: FrequencyEstimate, report: FrequentReport) -> list[
     return lines
 
 
-# Raw size-3 signature -> shape record (vertex_labels, edges, pattern key).
+# Raw size-3 signature -> shape record (vertex_labels, edges, class id).
 # The raw signature is the order that sorts the ids (u, v, w), the three
 # vertex labels and the three edge labels (None for an absent edge); it fixes
 # the member's label and edge tuples and its pattern class. Every k=3 member
@@ -207,56 +210,55 @@ def _intern_triple(raw: tuple) -> tuple:
     edges.sort()
     labs = tuple(labs)
     edges = tuple(edges)
-    shared = (labs, edges, canonical_key(SubgraphInstance((0, 1, 2), labs, edges)))
+    key = canonical_key(SubgraphInstance((0, 1, 2), labs, edges))
+    shared = (labs, edges, class_id(key))
     _TRIPLES[raw] = shared
     return shared
 
 
-def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[int, tuple]:
-    """The (code, shape) columns of the member over {u, v, w}; a None edge
-    label means the edge is absent. The single builder of size-3 sample
-    members: the code is ``vertex_code`` of the sorted ids, the shape the
-    interned record."""
-    x = CODE_RADIX
+def _triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple:
+    """The interned shape record of the member over {u, v, w}; a None edge
+    label means the edge is absent."""
     if u < v:
-        if v < w:
-            order, code = 0, (u * x + v) * x + w
-        elif u < w:
-            order, code = 1, (u * x + w) * x + v
-        else:
-            order, code = 2, (w * x + u) * x + v
-    elif u < w:
-        order, code = 3, (v * x + u) * x + w
-    elif v < w:
-        order, code = 4, (v * x + w) * x + u
+        order = 0 if v < w else 1 if u < w else 2
     else:
-        order, code = 5, (w * x + v) * x + u
+        order = 3 if u < w else 4 if v < w else 5
     raw = (order, lu, lv, lw, e_uv, e_uw, e_vw)
     shape = _TRIPLES.get(raw)
     if shape is None:
         shape = _intern_triple(raw)
-    return code, shape
+    return shape
 
 
-def _graph_triple(
-    g: DynamicLabeledGraph, u: int, v: int, w: int, e_uv: int | None
-) -> tuple[int, tuple]:
-    """_triple_member over {u, v, w} as the graph holds it, except that the
+def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[int, tuple]:
+    """The (code, shape) columns of the member over {u, v, w}: the single
+    builder of size-3 sample members. The code is ``vertex_code`` of the
+    sorted ids, the shape the interned record."""
+    x = CODE_RADIX
+    if u < v:
+        if v < w:
+            code = (u * x + v) * x + w
+        elif u < w:
+            code = (u * x + w) * x + v
+        else:
+            code = (w * x + u) * x + v
+    elif u < w:
+        code = (v * x + u) * x + w
+    elif v < w:
+        code = (v * x + w) * x + u
+    else:
+        code = (w * x + v) * x + u
+    return code, _triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw)
+
+
+def _graph_shape(g: DynamicLabeledGraph, u: int, v: int, w: int, e_uv: int | None) -> tuple:
+    """_triple_shape over {u, v, w} as the graph holds it, except that the
     (u, v) edge carries ``e_uv`` (None: absent)."""
     labels = g.labels
     adj_w = g.adj[w]
-    return _triple_member(
+    return _triple_shape(
         u, labels[u], v, labels[v], w, labels[w], e_uv, adj_w.get(u), adj_w.get(v)
     )
-
-
-def _third_vertex(vertices: tuple[int, ...], u: int, v: int) -> int:
-    a, b, c = vertices
-    if a != u and a != v:
-        return a
-    if b != u and b != v:
-        return b
-    return c
 
 
 class _EngineBase:
@@ -342,7 +344,7 @@ class ExactCountEngine(_EngineBase):
         raw = (lu, lv, lw, e_uv, e_uw, e_vw)
         key = self._memo3.get(raw)
         if key is None:
-            key = _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw)[1][2]
+            key = CLASS_KEYS[_triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw)[2]]
             self._memo3[raw] = key
         return key
 
@@ -476,12 +478,24 @@ class _SamplingEngineBase(_EngineBase):
 
     def estimate_frequencies(self) -> FrequencyEstimate:
         res = self.reservoir
-        counts = dict(res.counts)
-        occ = res.occupancy
+        counts = res.pattern_counts()
+        occ = len(res.codes)
         shares = {key: c / occ for key, c in counts.items()} if occ else {}
         return FrequencyEstimate(
             counts, shares, res.n_population, occ, res.c1, res.c2, self.events_seen
         )
+
+    def report_frequent(self) -> FrequentReport:
+        # the base report's order, straight off the per-class counts: no
+        # second estimate, no key hashed and no key text rebuilt
+        res = self.reservoir
+        occ = len(res.codes)
+        threshold = self.config.tau - self.config.epsilon / 2.0
+        rows = [(c / occ, cid) for cid, c in res.counts.items() if c / occ >= threshold]
+        texts = CLASS_TEXTS
+        rows.sort(key=lambda row: (-row[0], texts[row[1]]))
+        keys = CLASS_KEYS
+        return FrequentReport(threshold, [(keys[cid], p) for p, cid in rows], self.events_seen)
 
     def verify_invariants(self) -> None:
         """Debug gate: index exactness plus sample-membership soundness."""
@@ -500,16 +514,16 @@ class _SamplingEngineBase(_EngineBase):
         """Re-materialise the sampled members over (u, v) with the new edge;
         call before the graph holds it. Returns how many were modified."""
         res = self.reservoir
-        members = res.members_containing_pair(u, v)
+        g = self.graph
+        hits = res.members_containing_pair(u, v)
         if self.k == 3:
-            g = self.graph
-            for inst in members:
-                w = _third_vertex(inst.vertices, u, v)
-                res.replace_modified(*_graph_triple(g, u, v, w, le))
+            for code, w in hits:
+                res.replace_modified(code, _graph_shape(g, u, v, w, le))
         else:
-            for inst in members:
-                res.replace_modified(*member_columns(inst.with_edge(u, v, le)))
-        return len(members)
+            for code in hits:
+                post = g.induced_subgraph(decode_vertices(code, self.k)).with_edge(u, v, le)
+                res.replace_modified(code, member_columns(post)[1])
+        return len(hits)
 
     def _delete_members3(self, u: int, v: int) -> tuple[int, int]:
         """After the graph dropped (u, v): re-materialise the sampled size-3
@@ -520,38 +534,14 @@ class _SamplingEngineBase(_EngineBase):
         nu = g.adj[u]
         nv = g.adj[v]
         modified = dropped = 0
-        for inst in res.members_containing_pair(u, v):
-            vs = inst.vertices
-            w = _third_vertex(vs, u, v)
+        for code, w in res.members_containing_pair(u, v):
             if w in nu and w in nv:
-                res.replace_modified(*_graph_triple(g, u, v, w, None))
+                res.replace_modified(code, _graph_shape(g, u, v, w, None))
                 modified += 1
             else:
-                res.remove_destroyed(vertex_code(vs))
+                res.remove_destroyed(code, (u, v, w))
                 dropped += 1
         return modified, dropped
-
-    def _offer_new(self, build) -> bool:
-        """One new-subgraph arrival: count it, run the admission coin, and
-        materialize the instance only when admitted."""
-        res = self.reservoir
-        res.n_population += 1
-        debt = res.c1 + res.c2
-        rng = self.rng
-        if debt == 0:
-            if res.occupancy < res.capacity:
-                res.fill_free_slot(*member_columns(build()))
-                return True
-            if rng.random() < res.capacity / res.n_population:
-                res.replace_random_slot(*member_columns(build()), rng)
-                return True
-            return False
-        if rng.random() < res.c1 / debt:
-            res.c1 -= 1
-            res.fill_free_slot(*member_columns(build()))
-            return True
-        res.c2 -= 1
-        return False
 
 
 class ReservoirEngine(_SamplingEngineBase):
@@ -578,20 +568,22 @@ class ReservoirEngine(_SamplingEngineBase):
             g.add_edge(u, ev.label_u, v, ev.label_v, le)
             rng = self.rng
             cap = res.capacity
+            occ = len(res.codes)
             for side_u, side in ((True, ex_u), (False, ex_v)):
                 for w in side:
                     n = res.n_population + 1
                     res.n_population = n
                     debt = res.c1 + res.c2
                     if debt == 0:
-                        if res.occupancy < cap:
-                            pass  # admitted below
+                        if occ < cap:
+                            replace = False
                         elif rng.random() < cap / n:
-                            pass
+                            replace = True
                         else:
                             continue
                     elif rng.random() < res.c1 / debt:
                         res.c1 -= 1
+                        replace = False
                     else:
                         res.c2 -= 1
                         continue
@@ -599,10 +591,11 @@ class ReservoirEngine(_SamplingEngineBase):
                         code, shape = _triple_member(u, lu, v, lv, w, labels[w], le, nu[w], None)
                     else:
                         code, shape = _triple_member(u, lu, v, lv, w, labels[w], le, None, nv[w])
-                    if debt == 0 and res.occupancy >= cap:
-                        res.replace_random_slot(code, shape, rng)
+                    if replace:
+                        res.replace_random_slot(code, shape, (u, v, w), rng)
                     else:
-                        res.fill_free_slot(code, shape)
+                        res.fill_free_slot(code, shape, (u, v, w))
+                        occ += 1
                     admitted += 1
             created = len(ex_u) + len(ex_v)
             return EventStats(created, 0, modified, admitted)
@@ -612,7 +605,8 @@ class ReservoirEngine(_SamplingEngineBase):
         ]
         g.add_edge(u, ev.label_u, v, ev.label_v, le)
         for inst in fresh:
-            if self._offer_new(lambda: inst):
+            res.n_population += 1
+            if res.rp_insert(inst, self.rng):
                 admitted += 1
         return EventStats(len(fresh), 0, modified, admitted)
 
@@ -709,6 +703,16 @@ class SkipReservoirEngine(_SamplingEngineBase):
                     self.rs_pending = pending - remaining
                     res.n_population += remaining
                     remaining = 0
+                elif pending == 0 and res.n_population + 1 < cap:
+                    # below capacity skip_rs returns 0 without a draw, so the
+                    # arrivals that keep N below M are admitted in one step
+                    take = min(remaining, cap - 1 - res.n_population)
+                    res.n_population += take
+                    remaining -= take
+                    fills = min(take, cap - virtual_occ)
+                    placements.extend([_FILL] * fills)
+                    placements.extend([_REPLACE] * (take - fills))
+                    virtual_occ += fills
                 else:
                     res.n_population += pending + 1
                     remaining -= pending + 1
@@ -772,9 +776,9 @@ class SkipReservoirEngine(_SamplingEngineBase):
                         u, lu, v, lv, w, labels[w], le, nu.get(w), nv.get(w)
                     )
                     if action == _FILL:
-                        res.fill_free_slot(code, shape)
+                        res.fill_free_slot(code, shape, (u, v, w))
                     else:
-                        res.replace_random_slot(code, shape, self.rng)
+                        res.replace_random_slot(code, shape, (u, v, w), self.rng)
                     admitted += 1
             return EventStats(arrivals, 0, modified, admitted)
         # sizes other than 3 run exact-W only (EngineConfig)
@@ -786,9 +790,9 @@ class SkipReservoirEngine(_SamplingEngineBase):
             for action, vset in zip(placements, chosen):
                 code, shape = member_columns(g.induced_subgraph(vset))
                 if action == _FILL:
-                    res.fill_free_slot(code, shape)
+                    res.fill_free_slot(code, shape, vset)
                 else:
-                    res.replace_random_slot(code, shape, self.rng)
+                    res.replace_random_slot(code, shape, vset, self.rng)
         return EventStats(len(new_sets), 0, modified, len(placements))
 
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
@@ -809,13 +813,14 @@ class SkipReservoirEngine(_SamplingEngineBase):
                 destroyed = int(round(compute_d_approx(self.sketches, g, u, v, k)))
         else:
             modified = hit_in_sample = 0
-            for inst in res.members_containing_pair(u, v):
-                post = g.induced_subgraph(inst.vertices)
+            for code in res.members_containing_pair(u, v):
+                vs = decode_vertices(code, k)
+                post = g.induced_subgraph(vs)
                 if is_connected(post):
-                    res.replace_modified(*member_columns(post))
+                    res.replace_modified(code, member_columns(post)[1])
                     modified += 1
                 else:
-                    res.remove_destroyed(vertex_code(inst.vertices))
+                    res.remove_destroyed(code, vs)
                     hit_in_sample += 1
             destroyed = compute_d_exact(g, u, v, k)  # exact-W only (EngineConfig)
         if destroyed < hit_in_sample:

@@ -4,10 +4,12 @@ The reservoir keeps a uniform sample of the connected k-subgraph population
 under insertions (classic reservoir step) and deletions (pairing each later
 insertion against an uncompensated deletion, tracked by the c1/c2 split).
 A vertex index gives constant-expected-time access to the sample members an
-edge event can touch, and per-pattern counts kept beside the slots make a
+edge event can touch, and per-class counts kept beside the slots make a
 frequency report cost O(pattern classes), not O(sample size). The sample is
 held in columns of ints and shared records, so a full sample adds no work to
-the garbage collector.
+the garbage collector, and a placement is small-int work: the caller passes
+the member's vertex ids, so only a random replacement's victim is decoded,
+and the counts are indexed by class id, so no pattern key is hashed.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class SampleInvariantError(RuntimeError):
 # 2**61 - 1 (a radix of 2**64 alone reduces to 8, and distinct codes would
 # share hashes). An int is never tracked by the garbage collector.
 CODE_RADIX = VERTEX_ID_LIMIT + 0x9E3779B97F4A7C15
+_RADIX2 = CODE_RADIX * CODE_RADIX
 
 
 def vertex_code(vertices) -> int:
@@ -43,7 +46,8 @@ def vertex_code(vertices) -> int:
     return code
 
 
-def _decode(code: int, size: int) -> tuple[int, ...]:
+def decode_vertices(code: int, size: int) -> tuple[int, ...]:
+    """The ascending vertex ids of the ``size``-set coded as ``code``."""
     if size == 3:
         rest, c = divmod(code, CODE_RADIX)
         a, b = divmod(rest, CODE_RADIX)
@@ -56,15 +60,34 @@ def _decode(code: int, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Pattern key <-> class id, one table per process, with each key's text.
+# Ids are dense and never reused, so shape records and the reservoir's
+# counts carry small ints.
+_CLASS_IDS: dict[PatternKey, int] = {}
+CLASS_KEYS: list[PatternKey] = []
+CLASS_TEXTS: list[str] = []
+
+
+def class_id(key: PatternKey) -> int:
+    """The class id of ``key``, assigned on first sight."""
+    cid = _CLASS_IDS.get(key)
+    if cid is None:
+        cid = _CLASS_IDS[key] = len(CLASS_KEYS)
+        CLASS_KEYS.append(key)
+        CLASS_TEXTS.append(key.text())
+    return cid
+
+
 def member_columns(inst: SubgraphInstance) -> tuple[int, tuple]:
     """The (code, shape) pair under which ``inst`` is stored, for members
     built elsewhere; its shape record is not shared."""
-    return vertex_code(inst.vertices), (inst.vertex_labels, inst.edges, canonical_key(inst))
+    shape = (inst.vertex_labels, inst.edges, class_id(canonical_key(inst)))
+    return vertex_code(inst.vertices), shape
 
 
 def _member(code: int, shape: tuple) -> SubgraphInstance:
     labels = shape[0]
-    return SubgraphInstance(_decode(code, len(labels)), labels, shape[1])
+    return SubgraphInstance(decode_vertices(code, len(labels)), labels, shape[1])
 
 
 class _SlotView(Sequence):
@@ -92,10 +115,12 @@ class SubgraphReservoir:
     State:
       * ``codes``: each slot's identity, the ``vertex_code`` of its vertex
         set; slot order is insignificant and the slots stay compact;
-      * ``shapes``: each slot's ``(vertex_labels, edges, pattern key)``
-        record, aligned with ``codes``; a record is shared by every member
-        of the same shape when the caller interns it (size-3 members do);
-      * ``counts``: sampled members per pattern key (no zero entries);
+      * ``shapes``: each slot's ``(vertex_labels, edges, class id)`` record,
+        aligned with ``codes``; a record is shared by every member of the
+        same shape when the caller interns it (size-3 members do);
+      * ``counts``: sampled members per class id (no zero entries), in the
+        order the classes entered the sample; ``CLASS_KEYS`` maps an id
+        back to its pattern key;
       * ``n_population``: current number of live subgraphs in the graph;
       * ``c1``/``c2``: uncompensated deletions that did / did not hit the
         sample (their sum is the pairing debt);
@@ -106,7 +131,8 @@ class SubgraphReservoir:
     ints, and a shared shape record is one object however many members use
     it. ``slots`` builds ``SubgraphInstance`` members on access. All members
     of one reservoir have the same size (codes of different sizes collide).
-    Placements take a member as its ``(code, shape)`` pair.
+    Placements take a member as its ``(code, shape)`` pair plus its vertex
+    ids in any order, which update the index without a decode.
     """
 
     __slots__ = ("capacity", "codes", "shapes", "counts", "n_population", "c1", "c2",
@@ -118,7 +144,7 @@ class SubgraphReservoir:
         self.capacity = capacity
         self.codes: list[int] = []
         self.shapes: list[tuple] = []
-        self.counts: dict[PatternKey, int] = {}
+        self.counts: dict[int, int] = {}
         self.n_population = 0
         self.c1 = 0
         self.c2 = 0
@@ -133,6 +159,11 @@ class SubgraphReservoir:
     def slots(self) -> _SlotView:
         return _SlotView(self)
 
+    def pattern_counts(self) -> dict[PatternKey, int]:
+        """Sampled members per pattern key, in the order of ``counts``."""
+        keys = CLASS_KEYS
+        return {keys[cid]: c for cid, c in self.counts.items()}
+
     def __contains__(self, inst_or_vertices) -> bool:
         if isinstance(inst_or_vertices, SubgraphInstance):
             vertices = inst_or_vertices.vertices
@@ -140,9 +171,11 @@ class SubgraphReservoir:
             vertices = sorted(inst_or_vertices)
         return vertex_code(vertices) in self._pos
 
-    def members_containing_pair(self, u: int, v: int) -> list[SubgraphInstance]:
+    def members_containing_pair(self, u: int, v: int) -> list:
         """Sample members whose vertex set contains both u and v, in
-        ascending order of their (sorted) vertex tuples."""
+        ascending code order: ``(code, third vertex)`` pairs for members of
+        size 3, bare codes for other sizes (``decode_vertices`` gives their
+        ids)."""
         index = self.index
         bu = index.get(u)
         if not bu:
@@ -150,50 +183,65 @@ class SubgraphReservoir:
         bv = index.get(v)
         if not bv:
             return []
-        shapes = self.shapes
-        pos = self._pos
-        return [_member(code, shapes[pos[code]]) for code in sorted(bu & bv)]
+        hits = sorted(bu & bv)
+        if len(self.shapes[0][0]) != 3:
+            return hits
+        # Codes read (a, b, c) with a < b < c. Below lo's first digit the
+        # third vertex is a; from (lo, hi, 0) on it is c; between, it is b.
+        x = CODE_RADIX
+        lo, hi = (u, v) if u < v else (v, u)
+        first = lo * _RADIX2
+        last = (lo * x + hi) * x
+        out = []
+        for code in hits:
+            if code >= last:
+                out.append((code, code - last))
+            elif code >= first:
+                out.append((code, (code - first) // x))
+            else:
+                out.append((code, code // _RADIX2))
+        return out
 
-    def _uncount(self, key: PatternKey) -> None:
+    def _uncount(self, cid: int) -> None:
         counts = self.counts
-        c = counts[key] - 1
+        c = counts[cid] - 1
         if c:
-            counts[key] = c
+            counts[cid] = c
         else:
-            del counts[key]
+            del counts[cid]
 
-    def _add(self, code: int, shape: tuple) -> None:
+    def _add(self, code: int, shape: tuple, vertices) -> None:
         pos = self._pos
-        if code in pos:
-            raise SampleInvariantError(f"subgraph {_decode(code, len(shape[0]))} already sampled")
-        pos[code] = len(self.codes)
-        self.codes.append(code)
+        codes = self.codes
+        n = len(codes)
+        if pos.setdefault(code, n) != n:
+            raise SampleInvariantError(f"subgraph {sorted(vertices)} already sampled")
+        codes.append(code)
         self.shapes.append(shape)
         counts = self.counts
-        key = shape[2]
-        counts[key] = counts.get(key, 0) + 1
+        cid = shape[2]
+        counts[cid] = counts.get(cid, 0) + 1
         index = self.index
-        for v in _decode(code, len(shape[0])):
-            bucket = index.get(v)
+        for x in vertices:
+            bucket = index.get(x)
             if bucket is None:
-                index[v] = {code}
+                index[x] = {code}
             else:
                 bucket.add(code)
 
-    def _remove_at(self, idx: int) -> None:
+    def _remove_at(self, idx: int, vertices) -> None:
         codes = self.codes
         shapes = self.shapes
         code = codes[idx]
-        shape = shapes[idx]
         pos = self._pos
         del pos[code]
         index = self.index
-        for v in _decode(code, len(shape[0])):
-            bucket = index[v]
+        for x in vertices:
+            bucket = index[x]
             bucket.remove(code)
             if not bucket:
-                del index[v]
-        self._uncount(shape[2])
+                del index[x]
+        self._uncount(shapes[idx][2])
         last = codes.pop()
         last_shape = shapes.pop()
         if idx < len(codes):
@@ -217,11 +265,10 @@ class SubgraphReservoir:
         if self.n_population < 1:
             raise SampleInvariantError("insert before the arrival was counted")
         if len(self.codes) < self.capacity:
-            self._add(*member_columns(inst))
+            self._add(*member_columns(inst), inst.vertices)
             return True
         if rng.random() < self.capacity / self.n_population:
-            self._remove_at(rng.randrange(self.capacity))
-            self._add(*member_columns(inst))
+            self.replace_random_slot(*member_columns(inst), inst.vertices, rng)
             return True
         return False
 
@@ -235,7 +282,7 @@ class SubgraphReservoir:
             if len(self.codes) >= self.capacity:
                 raise SampleInvariantError("c1 > 0 with a full sample")
             self.c1 -= 1
-            self._add(*member_columns(inst))
+            self._add(*member_columns(inst), inst.vertices)
             return True
         self.c2 -= 1
         return False
@@ -248,56 +295,60 @@ class SubgraphReservoir:
         grows; the population count drops either way. Returns True when the
         subgraph was sampled.
         """
-        code = vertex_code(sorted(vertices))
+        vs = sorted(vertices)
         self.n_population -= 1
-        idx = self._pos.get(code)
+        idx = self._pos.get(vertex_code(vs))
         if idx is not None:
-            self._remove_at(idx)
+            self._remove_at(idx, vs)
             self.c1 += 1
             return True
         self.c2 += 1
         return False
 
-    def remove_destroyed(self, code: int) -> None:
+    def remove_destroyed(self, code: int, vertices) -> None:
         """Drop a destroyed sampled subgraph, growing c1.
 
         Population accounting is the caller's; used when deletion deltas
         are applied in bulk rather than per subgraph.
         """
-        self._remove_at(self._slot_of(code))
+        self._remove_at(self._slot_of(code), vertices)
         self.c1 += 1
 
     def replace_modified(self, code: int, shape: tuple) -> None:
         """Give a sampled member the shape of its modified version, in place.
 
-        Same vertex set, different induced edges; the pattern counts follow
-        the new key, the population counters and the index do not change.
+        Same vertex set, different induced edges; the class counts follow
+        the new class, the population counters and the index do not change.
         """
         idx = self._slot_of(code)
         shapes = self.shapes
         self._uncount(shapes[idx][2])
         counts = self.counts
-        key = shape[2]
-        counts[key] = counts.get(key, 0) + 1
+        cid = shape[2]
+        counts[cid] = counts.get(cid, 0) + 1
         shapes[idx] = shape
 
     # Lower-level placements used by the engines, where the admission
     # decision has already been taken (by a coin or a skip counter).
 
-    def fill_free_slot(self, code: int, shape: tuple) -> None:
+    def fill_free_slot(self, code: int, shape: tuple, vertices) -> None:
         if len(self.codes) >= self.capacity:
             raise SampleInvariantError("no free slot to fill")
-        self._add(code, shape)
+        self._add(code, shape, vertices)
 
-    def replace_random_slot(self, code: int, shape: tuple, rng: random.Random) -> None:
+    def replace_random_slot(
+        self, code: int, shape: tuple, vertices, rng: random.Random
+    ) -> None:
         if len(self.codes) != self.capacity:
             raise SampleInvariantError("random replacement needs a full sample")
-        self._remove_at(rng.randrange(self.capacity))
-        self._add(code, shape)
+        idx = rng.randrange(self.capacity)
+        victim = decode_vertices(self.codes[idx], len(self.shapes[idx][0]))
+        self._remove_at(idx, victim)
+        self._add(code, shape, vertices)
 
     def verify(self) -> None:
-        """Check the index and position maps, the per-slot pattern keys and
-        the per-pattern counts against the slots; raises."""
+        """Check the index and position maps, the per-slot class ids and
+        the per-class counts against the slots; raises."""
         codes = self.codes
         if len(codes) > self.capacity:
             raise SampleInvariantError("occupancy exceeds capacity")
@@ -308,7 +359,7 @@ class SubgraphReservoir:
         if len(self._pos) != len(codes) or len(self.shapes) != len(codes):
             raise SampleInvariantError("position map or shape column out of sync")
         fresh: dict[int, set[int]] = {}
-        counts: dict[PatternKey, int] = {}
+        counts: dict[int, int] = {}
         sizes = set()
         for idx, (code, inst) in enumerate(zip(codes, self.slots)):
             vs = inst.vertices
@@ -321,16 +372,16 @@ class SubgraphReservoir:
             sizes.add(len(vs))
             for v in vs:
                 fresh.setdefault(v, set()).add(code)
-            key = canonical_key(inst)
-            if self.shapes[idx][2] != key:
-                raise SampleInvariantError(f"stale pattern key for {vs}")
-            counts[key] = counts.get(key, 0) + 1
+            cid = self.shapes[idx][2]
+            if not 0 <= cid < len(CLASS_KEYS) or CLASS_KEYS[cid] != canonical_key(inst):
+                raise SampleInvariantError(f"stale class id for {vs}")
+            counts[cid] = counts.get(cid, 0) + 1
         if len(sizes) > 1:
             raise SampleInvariantError(f"members of sizes {sorted(sizes)} in one sample")
         if fresh != self.index:
             raise SampleInvariantError("vertex index out of sync with slots")
         if counts != self.counts:
-            raise SampleInvariantError("pattern counts out of sync with slots")
+            raise SampleInvariantError("class counts out of sync with slots")
 
 
 # --- skip counters -------------------------------------------------------

@@ -44,13 +44,40 @@ _TOKEN = re.compile(r"\S+")
 
 def parse_event(line: str, lineno: int = 0) -> StreamEvent | None:
     """Parse one stream line; None for comments and blank lines."""
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
+    return _parse(line, lineno, -1)
+
+
+def _parse(line: str, lineno: int, seq: int) -> StreamEvent | None:
+    # fast path: a well-formed line is split once and converted; anything
+    # else goes to _parse_located, which finds the error's column
+    tokens = line.split()
+    if not tokens or tokens[0][0] == "#":
         return None
+    op = tokens[0]
+    try:
+        if op == "+" and len(tokens) == 6:
+            u, lu, v, lv, le = map(int, tokens[1:])
+            # the bitwise or of ints is negative iff one of them is
+            if (u | lu | v | lv | le) >= 0 and u < VERTEX_ID_LIMIT and v < VERTEX_ID_LIMIT \
+                    and u != v:
+                return StreamEvent("+", u, v, lu, lv, le, seq)
+        elif op == "-" and len(tokens) == 3:
+            u, v = map(int, tokens[1:])
+            if 0 <= u < VERTEX_ID_LIMIT and 0 <= v < VERTEX_ID_LIMIT and u != v:
+                return StreamEvent("-", u, v, seq=seq)
+    except ValueError:
+        pass
+    return _parse_located(line, lineno)._replace(seq=seq)
+
+
+def _parse_located(line: str, lineno: int) -> StreamEvent:
+    """Token-by-token parse of a non-blank, non-comment line: the reference
+    for the split path, and the path whose StreamFormatError carries the
+    offending token's column."""
     tokens = list(_TOKEN.finditer(line))
     op = tokens[0].group()
 
-    def intfield(idx: int, what: str, limit: int | None = None) -> int:
+    def intfield(idx: int, what: str) -> int:
         if idx >= len(tokens):
             raise StreamFormatError(f"missing {what}", lineno, len(line) + 1)
         tok = tokens[idx]
@@ -64,8 +91,12 @@ def parse_event(line: str, lineno: int = 0) -> StreamEvent | None:
             ) from None
         if val < 0:
             raise StreamFormatError(f"{what} must be non-negative", lineno, tok.start() + 1)
-        if limit is not None and val >= limit:
-            raise StreamFormatError(f"{what} must be below 2**64", lineno, tok.start() + 1)
+        return val
+
+    def vertex(idx: int, what: str) -> int:
+        val = intfield(idx, what)
+        if val >= VERTEX_ID_LIMIT:
+            raise StreamFormatError(f"{what} must be below 2**64", lineno, tokens[idx].start() + 1)
         return val
 
     if op == "+":
@@ -73,9 +104,9 @@ def parse_event(line: str, lineno: int = 0) -> StreamEvent | None:
             raise StreamFormatError(
                 f"insertion takes 5 fields, got {len(tokens) - 1}", lineno, 1
             )
-        u = intfield(1, "source vertex", VERTEX_ID_LIMIT)
+        u = vertex(1, "source vertex")
         lu = intfield(2, "source label")
-        v = intfield(3, "target vertex", VERTEX_ID_LIMIT)
+        v = vertex(3, "target vertex")
         lv = intfield(4, "target label")
         le = intfield(5, "edge label")
         if u == v:
@@ -86,8 +117,8 @@ def parse_event(line: str, lineno: int = 0) -> StreamEvent | None:
             raise StreamFormatError(
                 f"deletion takes 2 fields, got {len(tokens) - 1}", lineno, 1
             )
-        u = intfield(1, "source vertex", VERTEX_ID_LIMIT)
-        v = intfield(2, "target vertex", VERTEX_ID_LIMIT)
+        u = vertex(1, "source vertex")
+        v = vertex(2, "target vertex")
         if u == v:
             raise StreamFormatError("self-loop", lineno, tokens[2].start() + 1)
         return StreamEvent("-", u, v)
@@ -104,11 +135,10 @@ def read_stream(lines: Iterable[str]) -> Iterator[StreamEvent]:
     """Parse a line iterable, numbering events 0.. in arrival order."""
     seq = 0
     for lineno, line in enumerate(lines, start=1):
-        ev = parse_event(line, lineno)
-        if ev is None:
-            continue
-        yield ev._replace(seq=seq)
-        seq += 1
+        ev = _parse(line, lineno, seq)
+        if ev is not None:
+            yield ev
+            seq += 1
 
 
 def load_stream(path: str) -> list[StreamEvent]:

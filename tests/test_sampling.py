@@ -8,10 +8,12 @@ from scipy import stats
 
 from streamfsm.engine import _triple_member
 from streamfsm.graph import SubgraphInstance
-from streamfsm.pattern import canonical_key
+from streamfsm.pattern import PatternKey, canonical_key
 from streamfsm.sampling import (
+    CLASS_KEYS,
     SampleInvariantError,
     SubgraphReservoir,
+    class_id,
     member_columns,
     skip_rp,
     skip_rp_sequential,
@@ -158,18 +160,24 @@ def test_replace_modified_neutral():
         res.replace_modified(*member_columns(_inst(7, 8, 9)))
 
 
+def _pairs(*vertex_sets):
+    """The (code, third vertex) pairs the size-3 lookup over (u, v) should
+    return, given the members over u and v as (u, v, third) tuples."""
+    return sorted((vertex_code(sorted(vs)), vs[2]) for vs in vertex_sets)
+
+
 def test_members_containing_pair():
     res = SubgraphReservoir(4)
     assert res.members_containing_pair(1, 2) == []
     res.n_population = 1
     res.insert(_inst(1, 2, 3), random.Random(0))
-    assert [m.vertices for m in res.members_containing_pair(1, 2)] == [(1, 2, 3)]
+    assert res.members_containing_pair(1, 2) == _pairs((1, 2, 3))
     res.n_population = 2
     res.insert(_inst(1, 7, 8), random.Random(0))
     res.n_population = 3
     res.insert(_inst(1, 2, 9), random.Random(0))
-    got = sorted(m.vertices for m in res.members_containing_pair(1, 2))
-    assert got == [(1, 2, 3), (1, 2, 9)]
+    assert res.members_containing_pair(1, 2) == _pairs((1, 2, 3), (1, 2, 9))
+    assert res.members_containing_pair(8, 1) == _pairs((8, 1, 7))
 
 
 def _filled(*vertex_sets):
@@ -183,8 +191,8 @@ def _filled(*vertex_sets):
 def test_members_containing_pair_smaller_v_bucket():
     res = _filled((1, 2, 3), (1, 4, 5), (1, 6, 7), (1, 8, 9), (2, 10, 11))
     assert len(res.index[2]) < len(res.index[1])
-    assert [m.vertices for m in res.members_containing_pair(1, 2)] == [(1, 2, 3)]
-    assert [m.vertices for m in res.members_containing_pair(2, 1)] == [(1, 2, 3)]
+    assert res.members_containing_pair(1, 2) == _pairs((1, 2, 3))
+    assert res.members_containing_pair(2, 1) == _pairs((1, 2, 3))
 
 
 def test_members_containing_pair_missing_v_bucket():
@@ -195,9 +203,22 @@ def test_members_containing_pair_missing_v_bucket():
 
 
 def test_members_containing_pair_sorted():
+    """Ascending code order, with the third vertex below, between and above
+    the pair, for either argument order."""
     res = _filled((5, 9, 40), (5, 9, 12), (1, 5, 9), (5, 7, 9), (5, 6, 8))
-    got = [m.vertices for m in res.members_containing_pair(9, 5)]
-    assert got == [(1, 5, 9), (5, 7, 9), (5, 9, 12), (5, 9, 40)]
+    want = _pairs((9, 5, 1), (9, 5, 7), (9, 5, 12), (9, 5, 40))
+    assert [code for code, _ in want] == [
+        vertex_code(vs) for vs in [(1, 5, 9), (5, 7, 9), (5, 9, 12), (5, 9, 40)]
+    ]
+    assert res.members_containing_pair(9, 5) == want
+    assert res.members_containing_pair(5, 9) == want
+
+
+def test_members_containing_pair_other_sizes_returns_codes():
+    res = _filled((1, 2, 3, 4), (2, 3, 5, 6), (1, 3, 7, 8))
+    assert res.members_containing_pair(3, 2) == sorted(
+        [vertex_code((1, 2, 3, 4)), vertex_code((2, 3, 5, 6))]
+    )
 
 
 def test_counts_follow_placements():
@@ -206,25 +227,41 @@ def test_counts_follow_placements():
     tri = wedge.with_edge(1, 3, 0)
     res.n_population = 1
     res.insert(wedge, random.Random(0))
-    assert res.counts == {canonical_key(wedge): 1}
+    assert res.counts == {class_id(canonical_key(wedge)): 1}
     res.replace_modified(*member_columns(tri))
-    assert res.counts == {canonical_key(tri): 1}
-    assert [shape[2] for shape in res.shapes] == [canonical_key(tri)]
+    assert res.pattern_counts() == {canonical_key(tri): 1}
+    assert [CLASS_KEYS[shape[2]] for shape in res.shapes] == [canonical_key(tri)]
     res.notify_deleted((1, 2, 3))
     assert res.counts == {} and res.shapes == [] and res.codes == []
     res.verify()
 
 
+def test_class_ids_are_dense_and_stable():
+    keys = [canonical_key(_inst(1, 2, 3)), canonical_key(_inst(1, 2, 3, 4))]
+    ids = [class_id(key) for key in keys]
+    assert [CLASS_KEYS[cid] for cid in ids] == keys
+    assert [class_id(PatternKey(*key)) for key in keys] == ids  # equal, not identical
+    assert 0 <= min(ids) and max(ids) < len(CLASS_KEYS)
+
+
 def test_verify_catches_stale_counts():
+    """A stale class count and a stale class id both fail verify()."""
     res = _filled((1, 2, 3))
-    res.counts[canonical_key(_inst(1, 2, 3))] += 1
-    with pytest.raises(SampleInvariantError):
+    res.counts[class_id(canonical_key(_inst(1, 2, 3)))] += 1
+    with pytest.raises(SampleInvariantError, match="counts"):
+        res.verify()
+    res = _filled((1, 2, 3))
+    res.counts[class_id(canonical_key(_inst(1, 2, 3, 4)))] = 1
+    with pytest.raises(SampleInvariantError, match="counts"):
         res.verify()
     res = _filled((1, 2, 3))
     labels, edges, _ = res.shapes[0]
     stale = canonical_key(SubgraphInstance((1, 2, 3), (0, 0, 1), ((0, 1, 0), (1, 2, 0))))
-    res.shapes[0] = (labels, edges, stale)
-    with pytest.raises(SampleInvariantError):
+    res.shapes[0] = (labels, edges, class_id(stale))
+    with pytest.raises(SampleInvariantError, match="class id"):
+        res.verify()
+    res.shapes[0] = (labels, edges, len(CLASS_KEYS))
+    with pytest.raises(SampleInvariantError, match="class id"):
         res.verify()
 
 
@@ -262,8 +299,11 @@ def test_vertex_codes_order_and_bound():
     res = _filled(*sets)
     res.verify()
     assert [m.vertices for m in res.slots] == sets
-    got = [m.vertices for m in res.members_containing_pair(top, top - 1)]
-    assert got == [(5, top - 1, top), (top - 2, top - 1, top)]
+    want = _pairs((top, top - 1, 5), (top, top - 1, top - 2))
+    assert res.members_containing_pair(top, top - 1) == want
+    assert res.members_containing_pair(top - 1, top) == want
+    assert res.members_containing_pair(0, top) == _pairs((0, top, 1))
+    assert res.members_containing_pair(1, 3) == _pairs((1, 3, 2))
 
 
 def test_vertex_codes_hash_apart():
@@ -298,12 +338,12 @@ def test_size3_sample_is_invisible_to_the_collector():
     res.n_population = len(fill)
     before = _tracked()
     for u, v, w in fill:
-        res.fill_free_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None))
+        res.fill_free_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None), (u, v, w))
     assert _tracked() - before < len(vertices) + 20
     before = _tracked()
     for u, v, w in later:
         res.n_population += 1
-        res.replace_random_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None), rng)
+        res.replace_random_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None), (u, v, w), rng)
     assert _tracked() <= before
 
 

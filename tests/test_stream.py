@@ -12,6 +12,7 @@ from streamfsm.stream import (
     parse_event,
     read_stream,
 )
+from streamfsm.stream import _parse_located
 
 
 def test_parse_add():
@@ -52,6 +53,27 @@ def test_parse_vertex_ids_below_2_pow_64():
         assert (err.value.lineno, err.value.col) == (4, col)
     # labels are not vertex ids and stay unbounded
     assert parse_event(f"+ 1 {2**64} 2 0 0").label_u == 2**64
+
+
+def test_split_path_agrees_with_located_path():
+    """parse_event's str.split path returns what the token-by-token path
+    returns, on a seeded stream and on edge tokens."""
+    events = generate_stream(60, 300, 3, 2, model="power-law", delete_fraction=0.3, seed=4)
+    lines = [format_event(ev) for ev in events]
+    lines += [
+        "+ +5 0 2 1 0",
+        "+ 1_0 0 2 1 0",
+        "+\t1\t0\t2\t1\t0",
+        "  -  7\t\t8  \n",
+        "- 1 -0",
+        f"+ {2**64 - 1} {2**70} 0 0 0",
+        "+ 1\x1c0 2\u00a01 0",
+    ]
+    for line in lines:
+        assert parse_event(line) == _parse_located(line, 0)
+    assert parse_event("+ +5 0 2 1 0") == StreamEvent("+", 5, 2, 0, 1, 0)
+    assert parse_event("+ 1_0 0 2 1 0") == StreamEvent("+", 10, 2, 0, 1, 0)
+    assert [ev.seq for ev in read_stream(lines)] == list(range(len(lines)))
 
 
 def test_round_trip():
