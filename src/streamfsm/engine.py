@@ -3,19 +3,30 @@ sampling, and the skip-optimized reservoir, over incremental or
 fully-dynamic labeled edge streams.
 
 All engines keep the evolving graph plus N, the number of currently
-connected k-subgraphs. The sampling engines additionally keep a uniform
-fixed-capacity sample of those subgraphs; frequency estimates and frequent
-reports are read off the sample (or off the exact per-pattern counts).
+connected k-subgraphs. The exact engine counts those subgraphs per pattern
+class, moving the counts of the k-sets over an edge when the edge comes or
+goes. The sampling engines keep a uniform fixed-capacity sample of them and
+share one event path: the sampled members over the edge are updated in
+place, and the newly connected k-sets go to the engine's admission step,
+a coin per arrival (``sr``) or skip counters (``osr``); a deletion's
+destroyed subgraphs become pairing debt. Frequency estimates and frequent
+reports are read off per-class counts, of the sample or exact.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil, log
 from typing import NamedTuple
 
-from .exploration import compute_d_approx, compute_d_exact, new_vertex_sets
+from .exploration import (
+    _exclusive_thirds,
+    compute_d_approx,
+    compute_d_exact,
+    new_vertex_sets,
+)
 from .graph import DynamicLabeledGraph, SubgraphInstance, is_connected
 from .pattern import PatternKey, canonical_key, count_patterns
 from .rng import substream, substream_seed
@@ -27,6 +38,7 @@ from .sampling import (
     SubgraphReservoir,
     class_id,
     decode_vertices,
+    keyed_counts,
     member_columns,
     skip_rp,
     skip_rs,
@@ -230,6 +242,18 @@ def _triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple:
     return shape
 
 
+class _Class3Table(dict):
+    """(lu, lv, lw, e_uv, e_uw, e_vw) -> class id of the size-3 set over
+    u, v, w with those labels. Unlike a raw signature it ignores the id
+    order, so it holds at most L^3 * (E + 1)^3 entries; a miss is filled
+    from _triple_shape with ids in sorted order."""
+
+    def __missing__(self, raw: tuple) -> int:
+        lu, lv, lw, e_uv, e_uw, e_vw = raw
+        cid = self[raw] = _triple_shape(0, lu, 1, lv, 2, lw, e_uv, e_uw, e_vw)[2]
+        return cid
+
+
 def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[int, tuple]:
     """The (code, shape) columns of the member over {u, v, w}: the single
     builder of size-3 sample members. The code is ``vertex_code`` of the
@@ -251,16 +275,6 @@ def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[int, tuple]:
     return code, _triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw)
 
 
-def _graph_shape(g: DynamicLabeledGraph, u: int, v: int, w: int, e_uv: int | None) -> tuple:
-    """_triple_shape over {u, v, w} as the graph holds it, except that the
-    (u, v) edge carries ``e_uv`` (None: absent)."""
-    labels = g.labels
-    adj_w = g.adj[w]
-    return _triple_shape(
-        u, labels[u], v, labels[v], w, labels[w], e_uv, adj_w.get(u), adj_w.get(v)
-    )
-
-
 class _EngineBase:
     mode = "?"
 
@@ -273,6 +287,9 @@ class _EngineBase:
     # -- event dispatch ----------------------------------------------------
 
     def process_event(self, ev: StreamEvent) -> EventStats:
+        if ev.u == ev.v:
+            # rejected before any state changes: no engine can apply it
+            raise EngineError(f"self-loop event at vertex {ev.u}")
         if ev.op == "+":
             if ev.label_u is None or ev.label_v is None or ev.label_e is None:
                 raise EngineError(f"insertion event without labels: {ev}")
@@ -315,15 +332,28 @@ class _EngineBase:
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
         raise NotImplementedError
 
-    def report_frequent(self) -> FrequentReport:
-        est = self.estimate_frequencies()
-        threshold = self.config.tau - self.config.epsilon / 2.0
-        entries = [(key, p) for key, p in est.shares.items() if p >= threshold]
-        entries.sort(key=lambda kv: (-kv[1], kv[0].text()))
-        return FrequentReport(threshold, entries, self.events_seen)
+    # -- reporting -----------------------------------------------------------
+
+    def _state(self) -> tuple[dict[int, int], int, int, int, int]:
+        """Counts per class id, population, occupancy (the denominator of
+        the shares), c1 and c2."""
+        raise NotImplementedError
 
     def estimate_frequencies(self) -> FrequencyEstimate:
-        raise NotImplementedError
+        class_counts, population, occ, c1, c2 = self._state()
+        counts = keyed_counts(class_counts)
+        shares = {key: c / occ for key, c in counts.items()} if occ else {}
+        return FrequencyEstimate(counts, shares, population, occ, c1, c2, self.events_seen)
+
+    def report_frequent(self) -> FrequentReport:
+        # straight off the per-class counts, sorted on the cached key texts
+        counts, _, occ, _, _ = self._state()
+        threshold = self.config.tau - self.config.epsilon / 2.0
+        rows = [(c / occ, cid) for cid, c in counts.items() if c / occ >= threshold]
+        texts = CLASS_TEXTS
+        rows.sort(key=lambda row: (-row[0], texts[row[1]]))
+        keys = CLASS_KEYS
+        return FrequentReport(threshold, [(keys[cid], p) for p, cid in rows], self.events_seen)
 
 
 class ExactCountEngine(_EngineBase):
@@ -334,122 +364,81 @@ class ExactCountEngine(_EngineBase):
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
-        self.counts: dict[PatternKey, int] = {}
+        # connected k-sets per class id (no zero entries), in the order the
+        # classes appeared
+        self.class_counts: dict[int, int] = {}
         self.population = 0
-        # raw-signature memo for the size-3 hot loop; the canonical key is a
-        # function of the label structure alone, never of vertex ids
-        self._memo3: dict[tuple, PatternKey] = {}
+        self._class3 = _Class3Table()
 
-    def _key3(self, u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> PatternKey:
-        raw = (lu, lv, lw, e_uv, e_uw, e_vw)
-        key = self._memo3.get(raw)
-        if key is None:
-            key = CLASS_KEYS[_triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw)[2]]
-            self._memo3[raw] = key
-        return key
+    @property
+    def counts(self) -> dict[PatternKey, int]:
+        """The exact counts per pattern key, as a new dict."""
+        return keyed_counts(self.class_counts)
 
-    def _bump(self, key: PatternKey, delta: int) -> None:
-        c = self.counts.get(key, 0) + delta
-        if c:
-            self.counts[key] = c
-        else:
-            self.counts.pop(key, None)
+    def _state(self):
+        return self.class_counts, self.population, self.population, 0, 0
 
     def _apply_add(self, ev: StreamEvent) -> EventStats:
-        g = self.graph
-        u, v, le = ev.u, ev.v, ev.label_e
-        if self.k == 3:
-            nu = g.adj[u]
-            nv = g.adj[v]
-            lu = g.labels[u]
-            lv = g.labels[v]
-            labels = g.labels
-            common = nu.keys() & nv.keys()
-            for w in common:
-                lw = labels[w]
-                euw = nu[w]
-                evw = nv[w]
-                self._bump(self._key3(u, lu, v, lv, w, lw, None, euw, evw), -1)
-                self._bump(self._key3(u, lu, v, lv, w, lw, le, euw, evw), +1)
-            ex_u = nu.keys() - nv.keys() - {v}
-            ex_v = nv.keys() - nu.keys() - {u}
-            for w in ex_u:
-                self._bump(self._key3(u, lu, v, lv, w, labels[w], le, nu[w], None), +1)
-            for w in ex_v:
-                self._bump(self._key3(u, lu, v, lv, w, labels[w], le, None, nv[w]), +1)
-            created = len(ex_u) + len(ex_v)
-            modified = len(common)
-            self.population += created
-            g.add_edge(u, ev.label_u, v, ev.label_v, le)
-            return EventStats(created, 0, modified, 0)
-        staged = []
-        for vset in g.candidate_vertex_sets(u, v, self.k):
-            inst = g.induced_subgraph(vset)
-            staged.append((inst, is_connected(inst)))
-        g.add_edge(u, ev.label_u, v, ev.label_v, le)
-        created = modified = 0
-        for inst, was_connected in staged:
-            post = inst.with_edge(u, v, le)
-            if was_connected:
-                self._bump(canonical_key(inst), -1)
-                self._bump(canonical_key(post), +1)
-                modified += 1
-            else:
-                self._bump(canonical_key(post), +1)
-                created += 1
+        modified, created = self._shift(ev.u, ev.v, ev.label_e, 1)
         self.population += created
+        self.graph.add_edge(ev.u, ev.label_u, ev.v, ev.label_v, ev.label_e)
         return EventStats(created, 0, modified, 0)
 
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
-        g = self.graph
-        u, v = ev.u, ev.v
-        le = g.edge_label(u, v)
-        g.delete_edge(u, v)
-        if self.k == 3:
-            nu = g.adj[u]
-            nv = g.adj[v]
-            lu = g.labels[u]
-            lv = g.labels[v]
-            labels = g.labels
-            common = nu.keys() & nv.keys()
-            for w in common:
-                lw = labels[w]
-                euw = nu[w]
-                evw = nv[w]
-                self._bump(self._key3(u, lu, v, lv, w, lw, le, euw, evw), -1)
-                self._bump(self._key3(u, lu, v, lv, w, lw, None, euw, evw), +1)
-            ex_u = nu.keys() - nv.keys() - {v}
-            ex_v = nv.keys() - nu.keys() - {u}
-            for w in ex_u:
-                self._bump(self._key3(u, lu, v, lv, w, labels[w], le, nu[w], None), -1)
-            for w in ex_v:
-                self._bump(self._key3(u, lu, v, lv, w, labels[w], le, None, nv[w]), -1)
-            destroyed = len(ex_u) + len(ex_v)
-            modified = len(common)
-            self.population -= destroyed
-            return EventStats(0, destroyed, modified, 0)
-        destroyed = modified = 0
-        for vset in g.candidate_vertex_sets(u, v, self.k):
-            inst = g.induced_subgraph(vset)
-            pre = inst.with_edge(u, v, le)
-            if is_connected(inst):
-                self._bump(canonical_key(pre), -1)
-                self._bump(canonical_key(inst), +1)
-                modified += 1
-            else:
-                self._bump(canonical_key(pre), -1)
-                destroyed += 1
+        le = self.graph.edge_label(ev.u, ev.v)
+        self.graph.delete_edge(ev.u, ev.v)
+        modified, destroyed = self._shift(ev.u, ev.v, le, -1)
         self.population -= destroyed
         return EventStats(0, destroyed, modified, 0)
 
-    def estimate_frequencies(self) -> FrequencyEstimate:
-        total = self.population
-        shares = (
-            {key: c / total for key, c in self.counts.items()} if total else {}
-        )
-        return FrequencyEstimate(
-            dict(self.counts), shares, total, total, 0, 0, self.events_seen
-        )
+    def _shift(self, u: int, v: int, le: int, sign: int) -> tuple[int, int]:
+        """Move the counts of the k-sets over (u, v) across the edge (u, v)
+        labelled ``le`` coming (``sign`` +1) or going (-1). The graph lacks
+        the edge either way: call before the add or after the delete.
+        Returns how many sets are modified and how many created or
+        destroyed."""
+        g = self.graph
+        # the edge's label before and after, each with its count delta
+        swap = ((None, -1), (le, 1)) if sign > 0 else ((le, -1), (None, 1))
+        if self.k == 3:
+            nu = g.adj[u]
+            nv = g.adj[v]
+            labels = g.labels
+            lu = labels[u]
+            lv = labels[v]
+            table = self._class3
+            common = nu.keys() & nv.keys()
+            ex_u, ex_v = _exclusive_thirds(g, u, v)
+            # (class id, delta) in the order the counts move, generated lazily
+            # so that a hub's event holds no list of them
+            moves = chain(
+                ((table[lu, lv, labels[w], e, nu[w], nv[w]], d) for w in common for e, d in swap),
+                ((table[lu, lv, labels[w], le, nu[w], None], sign) for w in ex_u),
+                ((table[lu, lv, labels[w], le, None, nv[w]], sign) for w in ex_v),
+            )
+            modified = len(common)
+            changed = len(ex_u) + len(ex_v)
+        else:
+            moves = []
+            modified = changed = 0
+            for vset in g.candidate_vertex_sets(u, v, self.k):
+                absent = g.induced_subgraph(vset)
+                present = class_id(canonical_key(absent.with_edge(u, v, le)))
+                if is_connected(absent):
+                    absent = class_id(canonical_key(absent))
+                    moves.extend((absent if e is None else present, d) for e, d in swap)
+                    modified += 1
+                else:
+                    moves.append((present, sign))
+                    changed += 1
+        counts = self.class_counts
+        for cid, delta in moves:
+            c = counts.get(cid, 0) + delta
+            if c:
+                counts[cid] = c
+            else:
+                del counts[cid]
+        return modified, changed
 
     def verify_counts(self) -> None:
         """From-scratch recount of the current graph; raises on divergence."""
@@ -466,36 +455,25 @@ class ExactCountEngine(_EngineBase):
 
 
 class _SamplingEngineBase(_EngineBase):
+    """The event path of both samplers. An insertion updates the sampled
+    members over the pair and hands the newly connected k-sets to the
+    subclass's admission step; a deletion updates or drops the sampled
+    members over the pair and books the destroyed rest as pairing debt."""
+
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
         self.sample_size = config.resolve_sample_size()
         self.reservoir = SubgraphReservoir(self.sample_size)
         self.rng = substream(config.seed, "sample")
+        self.sketches: SketchStore | None = None  # sketch-W only
 
     @property
     def population(self) -> int:
         return self.reservoir.n_population
 
-    def estimate_frequencies(self) -> FrequencyEstimate:
+    def _state(self):
         res = self.reservoir
-        counts = res.pattern_counts()
-        occ = len(res.codes)
-        shares = {key: c / occ for key, c in counts.items()} if occ else {}
-        return FrequencyEstimate(
-            counts, shares, res.n_population, occ, res.c1, res.c2, self.events_seen
-        )
-
-    def report_frequent(self) -> FrequentReport:
-        # the base report's order, straight off the per-class counts: no
-        # second estimate, no key hashed and no key text rebuilt
-        res = self.reservoir
-        occ = len(res.codes)
-        threshold = self.config.tau - self.config.epsilon / 2.0
-        rows = [(c / occ, cid) for cid, c in res.counts.items() if c / occ >= threshold]
-        texts = CLASS_TEXTS
-        rows.sort(key=lambda row: (-row[0], texts[row[1]]))
-        keys = CLASS_KEYS
-        return FrequentReport(threshold, [(keys[cid], p) for p, cid in rows], self.events_seen)
+        return res.counts, res.n_population, len(res.codes), res.c1, res.c2
 
     def verify_invariants(self) -> None:
         """Debug gate: index exactness plus sample-membership soundness."""
@@ -510,36 +488,101 @@ class _SamplingEngineBase(_EngineBase):
                     f"disconnected sample member {inst.vertices}"
                 )
 
-    def _modify_members_on_add(self, u: int, v: int, le: int) -> int:
-        """Re-materialise the sampled members over (u, v) with the new edge;
-        call before the graph holds it. Returns how many were modified."""
-        res = self.reservoir
+    def _apply_add(self, ev: StreamEvent) -> EventStats:
         g = self.graph
-        hits = res.members_containing_pair(u, v)
-        if self.k == 3:
-            for code, w in hits:
-                res.replace_modified(code, _graph_shape(g, u, v, w, le))
+        u, v, le = ev.u, ev.v, ev.label_e
+        store = self.sketches
+        if self.k != 3:
+            new = (new_vertex_sets(g, u, v, self.k), ())
+        elif store is None:
+            # The third vertices of the new sets, built before the add. osr
+            # pools these sets as they are; sr iterates them less {v} and
+            # {u}, which removes nothing here. Each expression fixes its own
+            # iteration order, which reaches the output through sr's coin
+            # order and osr's rng.sample over the pool, so both stay.
+            nu = g.adj[u]
+            nv = g.adj[v]
+            new = (nu.keys() - nv.keys(), nv.keys() - nu.keys())
         else:
-            for code in hits:
-                post = g.induced_subgraph(decode_vertices(code, self.k)).with_edge(u, v, le)
-                res.replace_modified(code, member_columns(post)[1])
-        return len(hits)
+            new = None  # sketch-W counts them after the add
+        g.add_edge(u, ev.label_u, v, ev.label_v, le)
+        if store is not None:
+            store.on_edge_added(u, v)
+        modified = self._update_members(u, v)[0]
+        created, admitted = self._admit(u, v, le, new)
+        return EventStats(created, 0, modified, admitted)
 
-    def _delete_members3(self, u: int, v: int) -> tuple[int, int]:
-        """After the graph dropped (u, v): re-materialise the sampled size-3
-        members over the pair that survive as wedges and drop the destroyed
-        ones (c1 grows). Returns the number modified and the number dropped."""
+    def _admit(self, u: int, v: int, le: int, new) -> tuple[int, int]:
+        """Offer the k-sets the edge (u, v) newly connected, with the graph
+        holding it. ``new`` holds them in two groups: the two sets of third
+        vertices built before the add for k=3, the list of vertex sets and
+        an empty tuple otherwise, or None for sketch-W to count. Returns the
+        arrivals and the admissions."""
+        raise NotImplementedError
+
+    def _apply_delete(self, ev: StreamEvent) -> EventStats:
         g = self.graph
         res = self.reservoir
-        nu = g.adj[u]
-        nv = g.adj[v]
+        u, v = ev.u, ev.v
+        g.delete_edge(u, v)
+        store = self.sketches
+        if store is not None:
+            store.on_edge_deleted(u, v)
+        modified, dropped = self._update_members(u, v)
+        if store is None:
+            destroyed = compute_d_exact(g, u, v, self.k)
+        else:
+            destroyed = int(round(compute_d_approx(store, g, u, v, self.k)))
+        if destroyed < dropped:
+            if store is None:
+                raise SampleInvariantError(
+                    "exact deletion delta below the sampled-destruction count"
+                )
+            destroyed = dropped  # sampled destructions are known exactly
+        # remove_destroyed already accounted the c1 side
+        res.c2 += destroyed - dropped
+        res.n_population -= destroyed
+        if res.n_population < len(res.codes):
+            if store is None:
+                raise SampleInvariantError("population fell below sample occupancy")
+            res.n_population = len(res.codes)
+        return EventStats(0, destroyed, modified, 0)
+
+    def _update_members(self, u: int, v: int) -> tuple[int, int]:
+        """With the graph just past an add or delete of (u, v): give the
+        sampled members over the pair their new shape, and drop those the
+        change left disconnected (c1 grows). Returns the number modified
+        and the number dropped."""
+        res = self.reservoir
+        hits = res.members_containing_pair(u, v)
+        if not hits:
+            return 0, 0
+        g = self.graph
         modified = dropped = 0
-        for code, w in res.members_containing_pair(u, v):
-            if w in nu and w in nv:
-                res.replace_modified(code, _graph_shape(g, u, v, w, None))
+        if self.k == 3:
+            nu = g.adj[u]
+            nv = g.adj[v]
+            e_uv = nu.get(v)
+            labels = g.labels
+            lu = labels[u]
+            lv = labels[v]
+            for code, w in hits:
+                if w in nu and w in nv:
+                    shape = _triple_shape(u, lu, v, lv, w, labels[w], e_uv, nu[w], nv[w])
+                    res.replace_modified(code, shape)
+                    modified += 1
+                else:
+                    res.remove_destroyed(code, (u, v, w))
+                    dropped += 1
+            return modified, dropped
+        for code in hits:
+            vs = decode_vertices(code, self.k)
+            post = g.induced_subgraph(vs)
+            if is_connected(post):
+                res.replace_modified(code, member_columns(post)[1])
                 modified += 1
             else:
-                res.remove_destroyed(code, (u, v, w))
+                res.remove_destroyed(code, vs)
                 dropped += 1
         return modified, dropped
 
@@ -551,89 +594,61 @@ class ReservoirEngine(_SamplingEngineBase):
 
     mode = "sr"
 
-    def _apply_add(self, ev: StreamEvent) -> EventStats:
+    def _admit(self, u: int, v: int, le: int, new) -> tuple[int, int]:
         g = self.graph
         res = self.reservoir
-        u, v, le = ev.u, ev.v, ev.label_e
-        modified = self._modify_members_on_add(u, v, le)
-        admitted = 0
-        if self.k == 3:
-            nu = g.adj[u]
-            nv = g.adj[v]
-            lu = g.labels[u]
-            lv = g.labels[v]
-            labels = g.labels
-            ex_u = nu.keys() - nv.keys() - {v}
-            ex_v = nv.keys() - nu.keys() - {u}
-            g.add_edge(u, ev.label_u, v, ev.label_v, le)
-            rng = self.rng
-            cap = res.capacity
-            occ = len(res.codes)
-            for side_u, side in ((True, ex_u), (False, ex_v)):
-                for w in side:
-                    n = res.n_population + 1
-                    res.n_population = n
-                    debt = res.c1 + res.c2
-                    if debt == 0:
-                        if occ < cap:
-                            replace = False
-                        elif rng.random() < cap / n:
-                            replace = True
-                        else:
-                            continue
-                    elif rng.random() < res.c1 / debt:
-                        res.c1 -= 1
+        k3 = self.k == 3
+        if k3:
+            new = (new[0] - {v}, new[1] - {u})  # see _apply_add
+        nu = g.adj[u]
+        nv = g.adj[v]
+        labels = g.labels
+        lu = labels[u]
+        lv = labels[v]
+        rng = self.rng
+        cap = res.capacity
+        occ = len(res.codes)
+        created = admitted = 0
+        for first, group in ((True, new[0]), (False, new[1])):
+            created += len(group)
+            for x in group:
+                n = res.n_population + 1
+                res.n_population = n
+                debt = res.c1 + res.c2
+                if debt == 0:
+                    # reservoir step: below capacity admit, else replace a
+                    # random slot with probability M/N
+                    if occ < cap:
                         replace = False
+                    elif rng.random() < cap / n:
+                        replace = True
                     else:
-                        res.c2 -= 1
                         continue
-                    if side_u:
-                        code, shape = _triple_member(u, lu, v, lv, w, labels[w], le, nu[w], None)
+                elif rng.random() < res.c1 / debt:
+                    # pairing step: compensate a deletion that hit the sample
+                    res.c1 -= 1
+                    replace = False
+                else:
+                    res.c2 -= 1
+                    continue
+                if k3:
+                    # x is adjacent to u alone in the first group, to v alone
+                    # in the second
+                    if first:
+                        code, shape = _triple_member(u, lu, v, lv, x, labels[x], le, nu[x], None)
                     else:
-                        code, shape = _triple_member(u, lu, v, lv, w, labels[w], le, None, nv[w])
-                    if replace:
-                        res.replace_random_slot(code, shape, (u, v, w), rng)
-                    else:
-                        res.fill_free_slot(code, shape, (u, v, w))
-                        occ += 1
-                    admitted += 1
-            created = len(ex_u) + len(ex_v)
-            return EventStats(created, 0, modified, admitted)
-        fresh = [
-            g.induced_subgraph(vset).with_edge(u, v, le)
-            for vset in new_vertex_sets(g, u, v, self.k)
-        ]
-        g.add_edge(u, ev.label_u, v, ev.label_v, le)
-        for inst in fresh:
-            res.n_population += 1
-            if res.rp_insert(inst, self.rng):
+                        code, shape = _triple_member(u, lu, v, lv, x, labels[x], le, None, nv[x])
+                    vs = (u, v, x)
+                else:
+                    code, shape = member_columns(g.induced_subgraph(x))
+                    vs = x
+                if replace:
+                    res.replace_random_slot(code, shape, vs, rng)
+                else:
+                    res.fill_free_slot(code, shape, vs)
+                    occ += 1
                 admitted += 1
-        return EventStats(len(fresh), 0, modified, admitted)
-
-    def _apply_delete(self, ev: StreamEvent) -> EventStats:
-        g = self.graph
-        res = self.reservoir
-        u, v = ev.u, ev.v
-        g.delete_edge(u, v)
-        if self.k == 3:
-            modified, dropped = self._delete_members3(u, v)
-            nu = g.adj[u]
-            nv = g.adj[v]
-            destroyed = len(nu.keys() - nv.keys()) + len(nv.keys() - nu.keys())
-            res.n_population -= destroyed
-            res.c2 += destroyed - dropped  # remove_destroyed grew c1
-            return EventStats(0, destroyed, modified, 0)
-        modified = destroyed = 0
-        for vset in g.candidate_vertex_sets(u, v, self.k):
-            inst = g.induced_subgraph(vset)
-            if is_connected(inst):
-                if vset in res:
-                    res.replace_modified(*member_columns(inst))
-                    modified += 1
-            else:
-                res.notify_deleted(vset)
-                destroyed += 1
-        return EventStats(0, destroyed, modified, 0)
+        return created, admitted
 
 
 _FILL = 0
@@ -652,7 +667,6 @@ class SkipReservoirEngine(_SamplingEngineBase):
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
         self.w_mode = config.w_mode
-        self.sketches: SketchStore | None = None
         if self.w_mode == "sketch":
             hasher = VertexHasher(substream_seed(config.seed, "hash"))
             self.sketches = SketchStore(config.sketch_size, hasher)
@@ -724,119 +738,58 @@ class SkipReservoirEngine(_SamplingEngineBase):
                     self.rs_pending = skip_rs(res.n_population, cap, rng)
         return placements
 
-    def _apply_add(self, ev: StreamEvent) -> EventStats:
+    def _admit(self, u: int, v: int, le: int, new) -> tuple[int, int]:
         g = self.graph
-        res = self.reservoir
-        k = self.k
-        u, v, le = ev.u, ev.v, ev.label_e
-        modified = self._modify_members_on_add(u, v, le)
-        if k == 3:
-            nu = g.adj[u]
-            nv = g.adj[v]
-            if self.w_mode == "exact":
-                ex_u = nu.keys() - nv.keys()
-                ex_v = nv.keys() - nu.keys()
-                arrivals = len(ex_u) + len(ex_v)
-                g.add_edge(u, ev.label_u, v, ev.label_v, le)
-            else:
-                g.add_edge(u, ev.label_u, v, ev.label_v, le)
-                store = self.sketches
-                store.on_edge_added(u, v)
-                size = store.size
-                if len(nu) <= size and len(nv) <= size:
-                    ex_u = nu.keys() - nv.keys() - {v}
-                    ex_v = nv.keys() - nu.keys() - {u}
-                    arrivals = len(ex_u) + len(ex_v)
-                else:
-                    ex_u = ex_v = None
-                    sk_u = store.sketch(u)
-                    sk_v = store.sketch(v)
-                    est = (
-                        sk_u.size_estimate()
-                        + sk_v.size_estimate()
-                        - 2.0 * intersection_estimate(sk_u, sk_v)
-                        - 2.0
-                    )
-                    arrivals = int(round(est)) if est > 0.0 else 0
-            placements = self._consume_arrivals(arrivals)
-            admitted = 0
-            if placements:
-                if ex_u is None:
-                    ex_u = nu.keys() - nv.keys() - {v}
-                    ex_v = nv.keys() - nu.keys() - {u}
-                pool = list(ex_u)
-                pool.extend(ex_v)
-                take = min(len(placements), len(pool))
-                labels = g.labels
-                lu = labels[u]
-                lv = labels[v]
-                for action, w in zip(placements, self.rng.sample(pool, take)):
-                    # w is adjacent to exactly one of u, v
-                    code, shape = _triple_member(
-                        u, lu, v, lv, w, labels[w], le, nu.get(w), nv.get(w)
-                    )
-                    if action == _FILL:
-                        res.fill_free_slot(code, shape, (u, v, w))
-                    else:
-                        res.replace_random_slot(code, shape, (u, v, w), self.rng)
-                    admitted += 1
-            return EventStats(arrivals, 0, modified, admitted)
-        # sizes other than 3 run exact-W only (EngineConfig)
-        new_sets = new_vertex_sets(g, u, v, k)
-        g.add_edge(u, ev.label_u, v, ev.label_v, le)
-        placements = self._consume_arrivals(len(new_sets))
-        if placements:
-            chosen = self.rng.sample(new_sets, len(placements))
-            for action, vset in zip(placements, chosen):
-                code, shape = member_columns(g.induced_subgraph(vset))
-                if action == _FILL:
-                    res.fill_free_slot(code, shape, vset)
-                else:
-                    res.replace_random_slot(code, shape, vset, self.rng)
-        return EventStats(len(new_sets), 0, modified, len(placements))
-
-    def _apply_delete(self, ev: StreamEvent) -> EventStats:
-        g = self.graph
-        res = self.reservoir
-        k = self.k
-        u, v = ev.u, ev.v
-        g.delete_edge(u, v)
-        if self.sketches is not None:
-            self.sketches.on_edge_deleted(u, v)
-        if k == 3:
-            modified, hit_in_sample = self._delete_members3(u, v)
-            if self.w_mode == "exact":
-                nu = g.adj[u]
-                nv = g.adj[v]
-                destroyed = len(nu.keys() - nv.keys()) + len(nv.keys() - nu.keys())
-            else:
-                destroyed = int(round(compute_d_approx(self.sketches, g, u, v, k)))
+        if new is not None:
+            arrivals = len(new[0]) + len(new[1])
         else:
-            modified = hit_in_sample = 0
-            for code in res.members_containing_pair(u, v):
-                vs = decode_vertices(code, k)
-                post = g.induced_subgraph(vs)
-                if is_connected(post):
-                    res.replace_modified(code, member_columns(post)[1])
-                    modified += 1
-                else:
-                    res.remove_destroyed(code, vs)
-                    hit_in_sample += 1
-            destroyed = compute_d_exact(g, u, v, k)  # exact-W only (EngineConfig)
-        if destroyed < hit_in_sample:
-            if self.w_mode == "exact":
-                raise SampleInvariantError(
-                    "exact deletion delta below the sampled-destruction count"
+            store = self.sketches
+            size = store.size
+            if len(g.adj[u]) <= size and len(g.adj[v]) <= size:
+                # both sketches are underfull, hence lossless: count exactly
+                new = _exclusive_thirds(g, u, v)
+                arrivals = len(new[0]) + len(new[1])
+            else:
+                sk_u = store.sketch(u)
+                sk_v = store.sketch(v)
+                est = (
+                    sk_u.size_estimate()
+                    + sk_v.size_estimate()
+                    - 2.0 * intersection_estimate(sk_u, sk_v)
+                    - 2.0
                 )
-            destroyed = hit_in_sample  # sampled destructions are known exactly
-        # remove_destroyed already accounted the c1 side
-        res.c2 += destroyed - hit_in_sample
-        res.n_population -= destroyed
-        if res.n_population < res.occupancy:
-            if self.w_mode == "exact":
-                raise SampleInvariantError("population fell below sample occupancy")
-            res.n_population = res.occupancy
-        return EventStats(0, destroyed, modified, 0)
+                arrivals = int(round(est)) if est > 0.0 else 0
+        placements = self._consume_arrivals(arrivals)
+        if not placements:
+            return arrivals, 0
+        if new is None:
+            new = _exclusive_thirds(g, u, v)
+        pool = [*new[0], *new[1]]
+        res = self.reservoir
+        rng = self.rng
+        k3 = self.k == 3
+        nu = g.adj[u]
+        nv = g.adj[v]
+        labels = g.labels
+        lu = labels[u]
+        lv = labels[v]
+        admitted = 0
+        # a sketch estimate above the real pool admits the whole pool and
+        # drops the surplus placements
+        for action, x in zip(placements, rng.sample(pool, min(len(placements), len(pool)))):
+            if k3:
+                # x is adjacent to exactly one of u, v
+                code, shape = _triple_member(u, lu, v, lv, x, labels[x], le, nu.get(x), nv.get(x))
+                vs = (u, v, x)
+            else:
+                code, shape = member_columns(g.induced_subgraph(x))
+                vs = x
+            if action == _FILL:
+                res.fill_free_slot(code, shape, vs)
+            else:
+                res.replace_random_slot(code, shape, vs, rng)
+            admitted += 1
+        return arrivals, admitted
 
 
 def build_engine(config: EngineConfig) -> _EngineBase:

@@ -24,12 +24,6 @@ def new_vertex_sets(g: DynamicLabeledGraph, u: int, v: int, k: int) -> list[tupl
     of k-sets that the edge's presence newly connects. Sorted deterministic
     order.
     """
-    if k == 3:
-        ex_u, ex_v = _exclusive_thirds(g, u, v)
-        out = [tuple(sorted((u, v, w))) for w in ex_u]
-        out.extend(tuple(sorted((u, v, w))) for w in ex_v)
-        out.sort()
-        return out
     edge_present = g.has_edge(u, v)
     out = []
     for vset in g.candidate_vertex_sets(u, v, k):
@@ -41,17 +35,24 @@ def new_vertex_sets(g: DynamicLabeledGraph, u: int, v: int, k: int) -> list[tupl
     return out
 
 
+def _absent_edge_delta(g: DynamicLabeledGraph, u: int, v: int, k: int, present: str) -> int:
+    # the k-sets that the edge (u, v) connects, counted without it
+    if g.has_edge(u, v):
+        raise GraphError(f"edge ({u}, {v}) {present}")
+    if k == 3:
+        # without the edge neither endpoint is in the other's neighbourhood
+        nu = g.adj.get(u) or {}
+        nv = g.adj.get(v) or {}
+        return len(nu.keys() - nv.keys()) + len(nv.keys() - nu.keys())
+    return len(new_vertex_sets(g, u, v, k))
+
+
 def compute_w_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
     """Exact count of k-subgraphs that inserting (u, v) newly connects.
 
     ``g`` is the state before the insertion (the edge must be absent).
     """
-    if g.has_edge(u, v):
-        raise GraphError(f"edge ({u}, {v}) already present")
-    if k == 3:
-        ex_u, ex_v = _exclusive_thirds(g, u, v)
-        return len(ex_u) + len(ex_v)
-    return len(new_vertex_sets(g, u, v, k))
+    return _absent_edge_delta(g, u, v, k, "already present")
 
 
 def compute_d_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
@@ -60,30 +61,7 @@ def compute_d_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
     ``g`` is the state after the deletion; the computation mirrors the
     insertion count on the edge-absent graph.
     """
-    if g.has_edge(u, v):
-        raise GraphError(f"edge ({u}, {v}) still present")
-    if k == 3:
-        ex_u, ex_v = _exclusive_thirds(g, u, v)
-        return len(ex_u) + len(ex_v)
-    return len(new_vertex_sets(g, u, v, k))
-
-
-def _exact_delta_current(g: DynamicLabeledGraph, u: int, v: int) -> int:
-    """Size-3 delta from the current adjacency, edge present or not: the
-    vertices adjacent to exactly one endpoint, per side."""
-    nu = g.adj.get(u)
-    nv = g.adj.get(v)
-    du = len(nu) if nu else 0
-    dv = len(nv) if nv else 0
-    if du == 0 and dv == 0:
-        return 0
-    if du == 0 or dv == 0:
-        delta = du + dv
-    else:
-        delta = len(nu.keys() - nv.keys()) + len(nv.keys() - nu.keys())
-    if nu and v in nu:
-        delta -= 2  # the endpoints sit in each other's exclusive sets
-    return max(0, delta)
+    return _absent_edge_delta(g, u, v, k, "still present")
 
 
 def _approx_delta(
@@ -94,7 +72,8 @@ def _approx_delta(
     deg_u, deg_v = g.degree(u), g.degree(v)
     if deg_u <= store.size and deg_v <= store.size:
         # both sketches are underfull, hence lossless; count exactly
-        return float(_exact_delta_current(g, u, v))
+        ex_u, ex_v = _exclusive_thirds(g, u, v)
+        return float(len(ex_u) + len(ex_v))
     sk_u = store.sketch(u)
     sk_v = store.sketch(v)
     inter = intersection_estimate(sk_u, sk_v)

@@ -1,11 +1,13 @@
-"""Fixed-capacity uniform subgraph sample and the skip-counter generators.
+"""Fixed-capacity subgraph sample storage and the skip-counter generators.
 
-The reservoir keeps a uniform sample of the connected k-subgraph population
-under insertions (classic reservoir step) and deletions (pairing each later
-insertion against an uncompensated deletion, tracked by the c1/c2 split).
-A vertex index gives constant-expected-time access to the sample members an
-edge event can touch, and per-class counts kept beside the slots make a
-frequency report cost O(pattern classes), not O(sample size). The sample is
+The reservoir stores the sample and the counters that keep it uniform over
+the connected k-subgraph population: N, and the c1/c2 split of the
+deletions that later insertions must pair with. It places members; the
+admission rules (the classic reservoir step and the pairing step, by a coin
+per arrival or by skip counters) live in the engines. A vertex index gives
+constant-expected-time access to the sample members an edge event can
+touch, and per-class counts kept beside the slots make a frequency report
+cost O(pattern classes), not O(sample size). The sample is
 held in columns of ints and shared records, so a full sample adds no work to
 the garbage collector, and a placement is small-int work: the caller passes
 the member's vertex ids, so only a random replacement's victim is decoded,
@@ -78,6 +80,12 @@ def class_id(key: PatternKey) -> int:
     return cid
 
 
+def keyed_counts(counts: dict[int, int]) -> dict[PatternKey, int]:
+    """``counts`` per class id as a new dict per pattern key, same order."""
+    keys = CLASS_KEYS
+    return {keys[cid]: c for cid, c in counts.items()}
+
+
 def member_columns(inst: SubgraphInstance) -> tuple[int, tuple]:
     """The (code, shape) pair under which ``inst`` is stored, for members
     built elsewhere; its shape record is not shared."""
@@ -110,7 +118,8 @@ class _SlotView(Sequence):
 
 
 class SubgraphReservoir:
-    """Uniform fixed-capacity sample of subgraph instances, stored as columns.
+    """Fixed-capacity sample of subgraph instances, stored as columns, with
+    the population and pairing counters the engines' admission rules read.
 
     State:
       * ``codes``: each slot's identity, the ``vertex_code`` of its vertex
@@ -158,18 +167,6 @@ class SubgraphReservoir:
     @property
     def slots(self) -> _SlotView:
         return _SlotView(self)
-
-    def pattern_counts(self) -> dict[PatternKey, int]:
-        """Sampled members per pattern key, in the order of ``counts``."""
-        keys = CLASS_KEYS
-        return {keys[cid]: c for cid, c in self.counts.items()}
-
-    def __contains__(self, inst_or_vertices) -> bool:
-        if isinstance(inst_or_vertices, SubgraphInstance):
-            vertices = inst_or_vertices.vertices
-        else:
-            vertices = sorted(inst_or_vertices)
-        return vertex_code(vertices) in self._pos
 
     def members_containing_pair(self, u: int, v: int) -> list:
         """Sample members whose vertex set contains both u and v, in
@@ -255,61 +252,11 @@ class SubgraphReservoir:
             raise SampleInvariantError(f"subgraph with code {code} is not in the sample")
         return idx
 
-    def insert(self, inst: SubgraphInstance, rng: random.Random) -> bool:
-        """Classic reservoir step for one new subgraph.
-
-        The caller must already have counted the arrival in n_population.
-        Below capacity the arrival is always admitted; at capacity it
-        replaces a uniformly random slot with probability capacity/N.
-        """
-        if self.n_population < 1:
-            raise SampleInvariantError("insert before the arrival was counted")
-        if len(self.codes) < self.capacity:
-            self._add(*member_columns(inst), inst.vertices)
-            return True
-        if rng.random() < self.capacity / self.n_population:
-            self.replace_random_slot(*member_columns(inst), inst.vertices, rng)
-            return True
-        return False
-
-    def rp_insert(self, inst: SubgraphInstance, rng: random.Random) -> bool:
-        """Pairing-aware insertion: compensates an outstanding deletion if
-        any, otherwise falls back to the classic reservoir step."""
-        debt = self.c1 + self.c2
-        if debt == 0:
-            return self.insert(inst, rng)
-        if rng.random() < self.c1 / debt:
-            if len(self.codes) >= self.capacity:
-                raise SampleInvariantError("c1 > 0 with a full sample")
-            self.c1 -= 1
-            self._add(*member_columns(inst), inst.vertices)
-            return True
-        self.c2 -= 1
-        return False
-
-    def notify_deleted(self, vertices) -> bool:
-        """Record that the live subgraph over ``vertices`` was destroyed by
-        the current event.
-
-        Removes it from the sample when present (c1 grows), otherwise c2
-        grows; the population count drops either way. Returns True when the
-        subgraph was sampled.
-        """
-        vs = sorted(vertices)
-        self.n_population -= 1
-        idx = self._pos.get(vertex_code(vs))
-        if idx is not None:
-            self._remove_at(idx, vs)
-            self.c1 += 1
-            return True
-        self.c2 += 1
-        return False
-
     def remove_destroyed(self, code: int, vertices) -> None:
         """Drop a destroyed sampled subgraph, growing c1.
 
-        Population accounting is the caller's; used when deletion deltas
-        are applied in bulk rather than per subgraph.
+        Population accounting is the caller's, which applies a deletion's
+        delta in bulk.
         """
         self._remove_at(self._slot_of(code), vertices)
         self.c1 += 1
@@ -328,8 +275,8 @@ class SubgraphReservoir:
         counts[cid] = counts.get(cid, 0) + 1
         shapes[idx] = shape
 
-    # Lower-level placements used by the engines, where the admission
-    # decision has already been taken (by a coin or a skip counter).
+    # Placements of admitted arrivals; the engine has taken the admission
+    # decision (by a coin or a skip counter).
 
     def fill_free_slot(self, code: int, shape: tuple, vertices) -> None:
         if len(self.codes) >= self.capacity:

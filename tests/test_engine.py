@@ -103,6 +103,39 @@ def test_insertion_without_labels_rejected():
         e.process_event(StreamEvent("+", 1, 2))
 
 
+def _engine_state(eng):
+    g = eng.graph
+    state = [sorted(g.labels.items()), sorted((u, sorted(n.items())) for u, n in g.adj.items()),
+             g.num_edges, eng.events_seen, eng.estimate_frequencies()]
+    if eng.mode != "exact":
+        res = eng.reservoir
+        state += [list(res.codes), list(res.shapes), res.n_population, res.c1, res.c2,
+                  {x: set(b) for x, b in res.index.items()}, eng.rng.getstate()]
+    return state
+
+
+@pytest.mark.parametrize("mode,w_mode", [("exact", "exact"), ("sr", "exact"),
+                                         ("osr", "exact"), ("osr", "sketch")])
+def test_self_loop_event_rejected_without_state_change(mode, w_mode):
+    from streamfsm.stream import StreamEvent
+
+    eng = build_engine(EngineConfig(mode=mode, w_mode=w_mode, dynamic=True, sample_size=4,
+                                    sketch_size=2, seed=2))
+    for ev in generate_stream(12, 40, 2, 2, model="power-law", seed=2):
+        eng.process_event(ev)
+    hub = max(eng.graph.adj, key=eng.graph.degree)
+    before = _engine_state(eng)
+    for ev in (add_event(hub, eng.graph.labels[hub], hub, eng.graph.labels[hub], 0),
+               add_event(99, 0, 99, 0, 0), StreamEvent("-", hub, hub)):
+        with pytest.raises(EngineError, match="self-loop"):
+            eng.process_event(ev)
+        assert _engine_state(eng) == before
+    if mode == "exact":
+        eng.verify_counts()
+    else:
+        eng.verify_invariants()
+
+
 @pytest.mark.parametrize("mode,w_mode", [("sr", "exact"), ("osr", "exact")])
 def test_counts_track_bruteforce_on_dynamic_streams(mode, w_mode):
     for seed in range(4):
@@ -128,12 +161,12 @@ def test_counts_track_bruteforce_on_dynamic_streams(mode, w_mode):
 @pytest.mark.parametrize(
     "mode,w_mode,k",
     [("sr", "exact", 3), ("osr", "exact", 3), ("osr", "sketch", 3),
-     ("sr", "exact", 4), ("osr", "exact", 4)],
+     ("sr", "exact", 4), ("osr", "exact", 4), ("sr", "exact", 2), ("osr", "exact", 2)],
 )
 def test_sample_counts_match_recount_on_dynamic_streams(mode, w_mode, k):
     """The per-pattern counts kept beside the slots equal a recount of the
     slots after every event, also with vertex ids on both sides of 2**63."""
-    length = 400 if k == 3 else 90
+    length = 90 if k == 4 else 400
     for seed, offset in ((0, 0), (1, 0), (2, 0), (0, 2**63 - 15)):
         events = [
             ev._replace(u=ev.u + offset, v=ev.v + offset)
@@ -150,16 +183,20 @@ def test_sample_counts_match_recount_on_dynamic_streams(mode, w_mode, k):
             recount = Counter(canonical_key(inst) for inst in eng.reservoir.slots)
             assert eng.estimate_frequencies().counts == dict(recount)
             eng.verify_invariants()
+            if k == 2:
+                assert eng.population == eng.graph.num_edges
 
 
 def test_exact_engine_generic_k4(rng):
+    """The generic (k != 3) path against brute force, at k=4 and k=2."""
     events = generate_stream(14, 60, 2, 1, model="uniform", delete_fraction=0.25, seed=3)
-    exact = build_engine(EngineConfig(k=4, mode="exact", dynamic=True))
-    for ev in events:
-        exact.process_event(ev)
-        counts, total = brute_pattern_counts(exact.graph, 4)
-        assert exact.counts == dict(counts)
-        assert exact.population == total
+    for k in (4, 2):
+        exact = build_engine(EngineConfig(k=k, mode="exact", dynamic=True))
+        for ev in events:
+            exact.process_event(ev)
+            counts, total = brute_pattern_counts(exact.graph, k)
+            assert exact.counts == dict(counts)
+            assert exact.population == total
 
 
 @pytest.mark.parametrize("mode", ["sr", "osr"])
@@ -208,25 +245,29 @@ def test_exact_frequencies_on_path():
 
 
 def test_report_frequent_threshold_and_order():
-    key_a = PatternKey(3, (0, 0, 0), ((0, 1, 0), (0, 2, 0)))
-    key_b = PatternKey(3, (0, 0, 1), ((0, 1, 0), (0, 2, 0)))
-    est = FrequencyEstimate({key_a: 9, key_b: 6}, {key_a: 0.45, key_b: 0.30}, 20, 20, 0, 0, 5)
+    """A star whose six wedges fall into three classes with shares 4/6,
+    1/6 and 1/6; a sample of 20 holds all six, so every mode reports the
+    exact shares: by share descending, ties by key text."""
 
-    class Stub:
-        config = EngineConfig(tau=0.5, epsilon=0.2, sample_size=1)
-        events_seen = 5
+    def report(mode, w_mode, tau, epsilon):
+        eng = build_engine(EngineConfig(mode=mode, w_mode=w_mode, tau=tau, epsilon=epsilon,
+                                        sample_size=20, seed=3))
+        for leaf, label in ((1, 0), (2, 0), (3, 1), (4, 1)):
+            eng.process_event(add_event(0, 0, leaf, label, 0))
+        return eng.estimate_frequencies(), eng.report_frequent()
 
-        def estimate_frequencies(self):
-            return est
-
-    from streamfsm.engine import _EngineBase
-
-    report = _EngineBase.report_frequent(Stub())
-    assert report.threshold == pytest.approx(0.4)
-    assert [k for k, _ in report.entries] == [key_a]
-    lines = snapshot_lines(est, report)
-    assert lines[0] == "# event=5 N=20 occ=20 c1=0 c2=0"
-    assert lines[1].endswith("\t0.45")
+    for mode, w_mode in (("exact", "exact"), ("sr", "exact"), ("osr", "exact"),
+                         ("osr", "sketch")):
+        est, rep = report(mode, w_mode, 0.5, 0.2)
+        assert rep.threshold == pytest.approx(0.4)
+        (mixed,) = [key for key, c in est.counts.items() if c == 4]
+        assert rep.entries == [(mixed, 4 / 6)]
+        lines = snapshot_lines(est, rep)
+        assert lines == ["# event=4 N=6 occ=6 c1=0 c2=0", f"{mixed.text()}\t0.6666666667"]
+        est, rep = report(mode, w_mode, 0.1, 0.01)
+        rare = sorted((key for key, c in est.counts.items() if c == 1), key=PatternKey.text)
+        assert len(rare) == 2
+        assert rep.entries == [(mixed, 4 / 6), (rare[0], 1 / 6), (rare[1], 1 / 6)]
 
 
 def test_report_empty_sample():
@@ -341,7 +382,7 @@ def test_warm_size3_replay_builds_no_members(mode, w_mode, monkeypatch):
 
 def _seeded_digest(k, mode, w_mode, delete_fraction):
     """SHA-256 over the snapshot lines every 50 events, the key order of
-    each estimate's counts and the final slot order."""
+    each estimate's counts and the final slot order (sampling modes)."""
     if k == 3:
         events = generate_stream(80, 600, 3, 2, model="power-law",
                                  delete_fraction=delete_fraction, seed=5)
@@ -360,15 +401,21 @@ def _seeded_digest(k, mode, w_mode, delete_fraction):
             for line in snapshot_lines(est, eng.report_frequent()):
                 h.update(line.encode() + b"\n")
             h.update(" ".join(key.text() for key in est.counts).encode() + b"\n")
-    for inst in eng.reservoir.slots:
-        h.update(repr(inst.vertices).encode())
+    if mode != "exact":
+        for inst in eng.reservoir.slots:
+            h.update(repr(inst.vertices).encode())
     return h.hexdigest()
 
 
 # Digests computed with the code of the commit before class-id counts and
 # id-taking placements, which changed no draw and no slot position. A change
-# that alters RNG draws or slot order updates them and says why.
+# that alters RNG draws or slot order updates them and says why. The exact
+# digests come from the code before the exact engine counted by class id.
 SEEDED_DIGESTS = {
+    (3, "exact", "exact", 0.0): "c0f347e5809be2611e24c5fb6d270ecd56de2362cbe2889c196c9d22daa53ab5",
+    (3, "exact", "exact", 0.3): "23baf6f4a5dd237e8173250340542a230ea71a8b95eb50ac73161823e2daec96",
+    (4, "exact", "exact", 0.0): "7a1de3fd60c59458ef8a8f87200447b10b8fb5839181e01b6fbd597e1314da17",
+    (4, "exact", "exact", 0.3): "e0609d00f8284002449a33adc2296f63a676d2f02312b7a1d4ba7db0cba724e3",
     (3, "sr", "exact", 0.0): "c21fc6e09e11626f40dcd54946acd2a06e0aae97d48a9e6c22727761212045f6",
     (3, "sr", "exact", 0.3): "98790a4dc3aa638dbb208a2472a0574070e8021e2c2d9f6c699909013f4b21fd",
     (3, "osr", "exact", 0.0): "1e9600b1269895a1d0da879bb557e255e136aef1fe1ea75e8234eb49d770cc44",

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from scipy import stats
 
-from streamfsm.engine import _triple_member
+from streamfsm.engine import EngineConfig, _triple_member, build_engine
 from streamfsm.graph import SubgraphInstance
 from streamfsm.pattern import PatternKey, canonical_key
 from streamfsm.sampling import (
@@ -14,6 +14,7 @@ from streamfsm.sampling import (
     SampleInvariantError,
     SubgraphReservoir,
     class_id,
+    keyed_counts,
     member_columns,
     skip_rp,
     skip_rp_sequential,
@@ -22,7 +23,7 @@ from streamfsm.sampling import (
     vertex_code,
 )
 
-from conftest import pmf_skip_rp, pmf_skip_rs
+from conftest import add_event, del_event, pmf_skip_rp, pmf_skip_rs
 
 
 def _inst(*vertices):
@@ -30,42 +31,59 @@ def _inst(*vertices):
     return SubgraphInstance(vs, (0,) * len(vs), tuple((i, i + 1, 0) for i in range(len(vs) - 1)))
 
 
+def _place(res, inst):
+    res.fill_free_slot(*member_columns(inst), inst.vertices)
+
+
+# The admission rules live in ReservoirEngine: one coin per arrival. Each
+# path a-b-c whose second edge arrives creates exactly one new connected
+# 3-set, so the engine offers one arrival per path.
+
+
+def _paths_engine(capacity, paths, seed=0):
+    eng = build_engine(EngineConfig(mode="sr", dynamic=True, sample_size=capacity, seed=seed))
+    for i in range(paths):
+        _offer_path(eng, i)
+    return eng
+
+
+def _offer_path(eng, i) -> int:
+    a = 3 * i
+    eng.process_event(add_event(a, 0, a + 1, 0, 0))
+    return eng.process_event(add_event(a + 1, 0, a + 2, 0, 0)).admitted
+
+
 def test_insert_below_capacity_always_admits():
-    res = SubgraphReservoir(5)
-    res.n_population = 1
-    assert res.insert(_inst(1, 2, 3), random.Random(0))
-    assert res.occupancy == 1
+    """Below capacity the reservoir step admits every arrival without a
+    draw."""
+    eng = _paths_engine(5, 0)
+    for i in range(5):
+        state = eng.rng.getstate()
+        assert _offer_path(eng, i) == 1
+        assert eng.rng.getstate() == state
+    assert eng.reservoir.occupancy == eng.population == 5
+    eng.verify_invariants()
 
 
 def test_insert_admission_rate_m_over_n():
-    trials = 4000
-    hits = 0
-    for seed in range(trials):
-        res = SubgraphReservoir(5)
-        for i in range(5):
-            res.n_population += 1
-            res.insert(_inst(3 * i, 3 * i + 1, 3 * i + 2), random.Random(seed))
-        res.n_population += 1
-        if res.insert(_inst(100, 101, 102), random.Random(seed)):
-            hits += 1
-    p = 5 / 6
-    sigma = math.sqrt(p * (1 - p) / trials)
-    assert abs(hits / trials - p) <= 3 * sigma
+    """At capacity M the N-th arrival is admitted with probability M/N."""
+    for capacity, paths, trials in ((5, 5, 4000), (3, 9, 4000)):
+        hits = sum(_offer_path(_paths_engine(capacity, paths, seed), paths)
+                   for seed in range(trials))
+        p = capacity / (paths + 1)
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(hits / trials - p) <= 3 * sigma
 
 
 def test_insert_eviction_uniform():
+    """An admission at capacity evicts a uniformly random member."""
     trials = 6000
     evicted = Counter()
     for seed in range(trials):
-        rng = random.Random(seed)
-        res = SubgraphReservoir(6)
-        for i in range(6):
-            res.n_population += 1
-            res.insert(_inst(3 * i, 3 * i + 1, 3 * i + 2), rng)
-        before = {inst.vertices for inst in res.slots}
-        res.n_population += 1
-        if res.insert(_inst(900, 901, 902), rng):
-            after = {inst.vertices for inst in res.slots}
+        eng = _paths_engine(6, 6, seed)
+        before = {inst.vertices for inst in eng.reservoir.slots}
+        if _offer_path(eng, 6):
+            after = {inst.vertices for inst in eng.reservoir.slots}
             (gone,) = before - after
             evicted[gone] += 1
     total = sum(evicted.values())
@@ -75,81 +93,81 @@ def test_insert_eviction_uniform():
 
 def test_duplicate_insert_rejected():
     res = SubgraphReservoir(3)
-    res.n_population = 1
-    res.insert(_inst(1, 2, 3), random.Random(0))
-    res.n_population += 1
+    res.n_population = 2
+    _place(res, _inst(1, 2, 3))
     with pytest.raises(SampleInvariantError):
-        res.insert(_inst(1, 2, 3), random.Random(0))
+        _place(res, _inst(1, 2, 3))
+
+
+def _indebted_engine(capacity, occupancy, c1, c2, seed=1):
+    """An sr engine holding ``occupancy`` members, with the pairing debt
+    preset to (c1, c2)."""
+    eng = _paths_engine(capacity, occupancy, seed)
+    eng.reservoir.c1, eng.reservoir.c2 = c1, c2
+    return eng
 
 
 def test_rp_insert_zero_probability():
-    res = SubgraphReservoir(3)
-    res.c2 = 3
-    res.n_population = 5
-    assert not res.rp_insert(_inst(1, 2, 3), random.Random(1))
-    assert res.c2 == 2 and res.c1 == 0
+    """With c1 = 0 the pairing step rejects and pays off c2."""
+    eng = _indebted_engine(3, 1, 0, 3)
+    assert _offer_path(eng, 1) == 0
+    res = eng.reservoir
+    assert (res.c1, res.c2, res.occupancy) == (0, 2, 1)
 
 
 def test_rp_insert_certain():
-    res = SubgraphReservoir(3)
-    res.c1 = 2
-    res.n_population = 5
-    assert res.rp_insert(_inst(1, 2, 3), random.Random(1))
-    assert res.c1 == 1 and res.occupancy == 1
+    """With c2 = 0 the pairing step admits into a free slot and pays off c1."""
+    eng = _indebted_engine(3, 1, 2, 0)
+    assert _offer_path(eng, 1) == 1
+    res = eng.reservoir
+    assert (res.c1, res.c2, res.occupancy) == (1, 0, 2)
 
 
 def test_rp_insert_even_coin():
+    """With c1 = c2 the pairing step admits half the time, paying off the
+    counter that matches its decision."""
     trials = 4000
     hits = 0
     for seed in range(trials):
-        res = SubgraphReservoir(3)
-        res.c1 = 1
-        res.c2 = 1
-        res.n_population = 4
-        if res.rp_insert(_inst(1, 2, 3), random.Random(seed)):
-            hits += 1
+        eng = _indebted_engine(3, 1, 1, 1, seed)
+        admitted = _offer_path(eng, 1)
+        res = eng.reservoir
+        assert (res.c1, res.c2, res.occupancy) == ((0, 1, 2) if admitted else (1, 0, 1))
+        hits += admitted
     sigma = math.sqrt(0.25 / trials)
     assert abs(hits / trials - 0.5) <= 3 * sigma
 
 
 def test_rp_insert_full_with_debt_is_invariant_violation():
-    res = SubgraphReservoir(1)
-    res.n_population = 1
-    res.insert(_inst(1, 2, 3), random.Random(0))
-    res.c1 = 1
-    res.n_population = 2
+    eng = _indebted_engine(1, 1, 1, 0)
     with pytest.raises(SampleInvariantError):
-        res.rp_insert(_inst(4, 5, 6), random.Random(3))  # admission certain
+        _offer_path(eng, 1)  # admission certain, no free slot
 
 
 def test_notify_deleted_cases():
-    res = SubgraphReservoir(4)
-    res.n_population = 3
-    for i in range(3):
-        res.n_population = i + 1
-        res.insert(_inst(3 * i, 3 * i + 1, 3 * i + 2), random.Random(0))
-    res.n_population = 3
-    assert res.notify_deleted((0, 1, 2))
-    assert res.c1 == 1 and res.occupancy == 2 and res.n_population == 2
-    assert not res.notify_deleted((90, 91, 92))
-    assert res.c2 == 1 and res.n_population == 1
-    # destroy three subgraphs, one of them sampled
-    res2 = SubgraphReservoir(4)
-    res2.n_population = 1
-    res2.insert(_inst(1, 2, 3), random.Random(0))
-    res2.n_population = 5
-    res2.notify_deleted((1, 2, 3))
-    res2.notify_deleted((7, 8, 9))
-    res2.notify_deleted((10, 11, 12))
-    assert (res2.c1, res2.c2) == (1, 2)
-    assert res2.c1 + res2.c2 == 3
+    """A deletion drops its destroyed sampled subgraphs (c1 grows) and books
+    the unsampled ones in c2; N falls by all of them."""
+    seen = set()
+    for seed in range(12):
+        eng = build_engine(EngineConfig(mode="sr", dynamic=True, sample_size=1, seed=seed))
+        for leaf in (1, 2, 3):
+            eng.process_event(add_event(0, 0, leaf, 0, 0))
+        (sampled,) = [inst.vertices for inst in eng.reservoir.slots]
+        stats_ = eng.process_event(del_event(0, 1))
+        hit = 1 in sampled
+        res = eng.reservoir
+        assert (stats_.destroyed, res.c1, res.c2) == (2, int(hit), 2 - hit)
+        assert (res.n_population, res.occupancy) == (1, 1 - hit)
+        eng.verify_invariants()
+        seen.add(hit)
+    assert seen == {True, False}
 
 
 def test_replace_modified_neutral():
     res = SubgraphReservoir(4)
     res.n_population = 1
     wedge = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (1, 2, 0)))
-    res.insert(wedge, random.Random(0))
+    _place(res, wedge)
     snapshot = (res.occupancy, res.n_population, res.c1, res.c2)
     tri = wedge.with_edge(1, 3, 0)
     res.replace_modified(*member_columns(tri))
@@ -169,22 +187,20 @@ def _pairs(*vertex_sets):
 def test_members_containing_pair():
     res = SubgraphReservoir(4)
     assert res.members_containing_pair(1, 2) == []
-    res.n_population = 1
-    res.insert(_inst(1, 2, 3), random.Random(0))
-    assert res.members_containing_pair(1, 2) == _pairs((1, 2, 3))
-    res.n_population = 2
-    res.insert(_inst(1, 7, 8), random.Random(0))
     res.n_population = 3
-    res.insert(_inst(1, 2, 9), random.Random(0))
+    _place(res, _inst(1, 2, 3))
+    assert res.members_containing_pair(1, 2) == _pairs((1, 2, 3))
+    _place(res, _inst(1, 7, 8))
+    _place(res, _inst(1, 2, 9))
     assert res.members_containing_pair(1, 2) == _pairs((1, 2, 3), (1, 2, 9))
     assert res.members_containing_pair(8, 1) == _pairs((8, 1, 7))
 
 
 def _filled(*vertex_sets):
     res = SubgraphReservoir(len(vertex_sets) + 1)
+    res.n_population = len(vertex_sets)
     for vs in vertex_sets:
-        res.n_population += 1
-        res.insert(_inst(*vs), random.Random(0))
+        _place(res, _inst(*vs))
     return res
 
 
@@ -226,13 +242,14 @@ def test_counts_follow_placements():
     wedge = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (1, 2, 0)))
     tri = wedge.with_edge(1, 3, 0)
     res.n_population = 1
-    res.insert(wedge, random.Random(0))
+    _place(res, wedge)
     assert res.counts == {class_id(canonical_key(wedge)): 1}
     res.replace_modified(*member_columns(tri))
-    assert res.pattern_counts() == {canonical_key(tri): 1}
+    assert keyed_counts(res.counts) == {canonical_key(tri): 1}
     assert [CLASS_KEYS[shape[2]] for shape in res.shapes] == [canonical_key(tri)]
-    res.notify_deleted((1, 2, 3))
+    res.remove_destroyed(vertex_code((1, 2, 3)), (3, 1, 2))
     assert res.counts == {} and res.shapes == [] and res.codes == []
+    assert res.c1 == 1 and res.index == {}
     res.verify()
 
 
@@ -267,23 +284,20 @@ def test_verify_catches_stale_counts():
 
 def test_index_exact_after_random_ops(rng):
     res = SubgraphReservoir(8)
-    live = []
     for step in range(400):
-        if live and rng.random() < 0.35:
-            vs = rng.choice(live)
-            live.remove(vs)
-            res.notify_deleted(vs)
+        if res.codes and rng.random() < 0.35:
+            code = rng.choice(res.codes)
+            res.remove_destroyed(code, res.slots[res.codes.index(code)].vertices)
         else:
             vs = tuple(sorted(rng.sample(range(40), 3)))
-            if any(inst.vertices == vs for inst in res.slots):
+            if vertex_code(vs) in res.codes:
                 continue
             res.n_population += 1
-            if res.c1 + res.c2 > 0:
-                admitted = res.rp_insert(_inst(*vs), rng)
+            code, shape = member_columns(_inst(*vs))
+            if res.occupancy < res.capacity:
+                res.fill_free_slot(code, shape, vs)
             else:
-                admitted = res.insert(_inst(*vs), rng)
-            if admitted:
-                live.append(vs)
+                res.replace_random_slot(code, shape, rng.sample(vs, 3), rng)
         res.verify()
 
 
