@@ -37,7 +37,6 @@ from .sampling import (
     SampleInvariantError,
     SubgraphReservoir,
     class_id,
-    decode_vertices,
     keyed_counts,
     member_columns,
     skip_rp,
@@ -293,8 +292,7 @@ class _EngineBase:
         if ev.op == "+":
             if ev.label_u is None or ev.label_v is None or ev.label_e is None:
                 raise EngineError(f"insertion event without labels: {ev}")
-            self.graph.ensure_vertex(ev.u, ev.label_u)
-            self.graph.ensure_vertex(ev.v, ev.label_v)
+            self.graph.ensure_endpoints(ev.u, ev.label_u, ev.v, ev.label_v)
             if self.graph.has_edge(ev.u, ev.v):
                 logger.warning("duplicate insertion of edge (%d, %d) ignored", ev.u, ev.v)
                 stats = EventStats(0, 0, 0, 0)
@@ -315,16 +313,6 @@ class _EngineBase:
             raise EngineError(f"unknown stream operation {ev.op!r}")
         self.events_seen += 1
         return stats
-
-    def process_stream(self, events) -> EventStats:
-        created = destroyed = modified = admitted = 0
-        for ev in events:
-            st = self.process_event(ev)
-            created += st.created
-            destroyed += st.destroyed
-            modified += st.modified
-            admitted += st.admitted
-        return EventStats(created, destroyed, modified, admitted)
 
     def _apply_add(self, ev: StreamEvent) -> EventStats:
         raise NotImplementedError
@@ -463,7 +451,7 @@ class _SamplingEngineBase(_EngineBase):
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
         self.sample_size = config.resolve_sample_size()
-        self.reservoir = SubgraphReservoir(self.sample_size)
+        self.reservoir = SubgraphReservoir(self.sample_size, self.graph.adj)
         self.rng = substream(config.seed, "sample")
         self.sketches: SketchStore | None = None  # sketch-W only
 
@@ -476,7 +464,7 @@ class _SamplingEngineBase(_EngineBase):
         return res.counts, res.n_population, len(res.codes), res.c1, res.c2
 
     def verify_invariants(self) -> None:
-        """Debug gate: index exactness plus sample-membership soundness."""
+        """Debug gate: reservoir bookkeeping plus member soundness."""
         self.reservoir.verify()
         for inst in self.reservoir.slots:
             if self.graph.induced_subgraph(inst.vertices) != inst:
@@ -492,8 +480,12 @@ class _SamplingEngineBase(_EngineBase):
         g = self.graph
         u, v, le = ev.u, ev.v, ev.label_e
         store = self.sketches
+        sets = None
         if self.k != 3:
-            new = (new_vertex_sets(g, u, v, self.k), ())
+            # the pair's k-sets, enumerated once per event: they hold the
+            # sampled members over the pair and the new sets
+            sets = list(g.candidate_vertex_sets(u, v, self.k))
+            new = (new_vertex_sets(g, u, v, self.k, sets), ())
         elif store is None:
             # The third vertices of the new sets, built before the add. osr
             # pools these sets as they are; sr iterates them less {v} and
@@ -508,7 +500,7 @@ class _SamplingEngineBase(_EngineBase):
         g.add_edge(u, ev.label_u, v, ev.label_v, le)
         if store is not None:
             store.on_edge_added(u, v)
-        modified = self._update_members(u, v)[0]
+        modified = self._update_members(u, v, sets)[0]
         created, admitted = self._admit(u, v, le, new)
         return EventStats(created, 0, modified, admitted)
 
@@ -528,11 +520,14 @@ class _SamplingEngineBase(_EngineBase):
         store = self.sketches
         if store is not None:
             store.on_edge_deleted(u, v)
-        modified, dropped = self._update_members(u, v)
-        if store is None:
-            destroyed = compute_d_exact(g, u, v, self.k)
+        sets = None if self.k == 3 else list(g.candidate_vertex_sets(u, v, self.k))
+        modified, dropped = self._update_members(u, v, sets)
+        if sets is not None:
+            destroyed = len(new_vertex_sets(g, u, v, self.k, sets))
+        elif store is None:
+            destroyed = compute_d_exact(g, u, v, 3)
         else:
-            destroyed = int(round(compute_d_approx(store, g, u, v, self.k)))
+            destroyed = int(round(compute_d_approx(store, g, u, v, 3)))
         if destroyed < dropped:
             if store is None:
                 raise SampleInvariantError(
@@ -548,18 +543,19 @@ class _SamplingEngineBase(_EngineBase):
             res.n_population = len(res.codes)
         return EventStats(0, destroyed, modified, 0)
 
-    def _update_members(self, u: int, v: int) -> tuple[int, int]:
+    def _update_members(self, u: int, v: int, sets) -> tuple[int, int]:
         """With the graph just past an add or delete of (u, v): give the
         sampled members over the pair their new shape, and drop those the
-        change left disconnected (c1 grows). Returns the number modified
-        and the number dropped."""
+        change left disconnected (c1 grows). ``sets`` is None for k=3, whose
+        lookup reads the adjacency, else the pair's candidate k-sets.
+        Returns the number modified and the number dropped."""
         res = self.reservoir
-        hits = res.members_containing_pair(u, v)
+        hits = res.members_containing_pair(u, v) if sets is None else res.members_among(sets)
         if not hits:
             return 0, 0
         g = self.graph
         modified = dropped = 0
-        if self.k == 3:
+        if sets is None:
             nu = g.adj[u]
             nv = g.adj[v]
             e_uv = nu.get(v)
@@ -572,17 +568,16 @@ class _SamplingEngineBase(_EngineBase):
                     res.replace_modified(code, shape)
                     modified += 1
                 else:
-                    res.remove_destroyed(code, (u, v, w))
+                    res.remove_destroyed(code)
                     dropped += 1
             return modified, dropped
-        for code in hits:
-            vs = decode_vertices(code, self.k)
+        for code, vs in hits:
             post = g.induced_subgraph(vs)
             if is_connected(post):
                 res.replace_modified(code, member_columns(post)[1])
                 modified += 1
             else:
-                res.remove_destroyed(code, vs)
+                res.remove_destroyed(code)
                 dropped += 1
         return modified, dropped
 
@@ -638,14 +633,12 @@ class ReservoirEngine(_SamplingEngineBase):
                         code, shape = _triple_member(u, lu, v, lv, x, labels[x], le, nu[x], None)
                     else:
                         code, shape = _triple_member(u, lu, v, lv, x, labels[x], le, None, nv[x])
-                    vs = (u, v, x)
                 else:
                     code, shape = member_columns(g.induced_subgraph(x))
-                    vs = x
                 if replace:
-                    res.replace_random_slot(code, shape, vs, rng)
+                    res.replace_random_slot(code, shape, rng)
                 else:
-                    res.fill_free_slot(code, shape, vs)
+                    res.fill_free_slot(code, shape)
                     occ += 1
                 admitted += 1
         return created, admitted
@@ -657,10 +650,10 @@ _REPLACE = 1
 
 class SkipReservoirEngine(_SamplingEngineBase):
     """Skip-optimized reservoir: per event, sampled subgraphs containing the
-    touched pair are updated through the vertex index, the count of newly
-    connected subgraphs is either computed exactly or estimated from
-    neighborhood sketches, and admissions are decided by skip counters so
-    rejected arrivals cost O(1) in bulk."""
+    touched pair are updated in place, the count of newly connected
+    subgraphs is either computed exactly or estimated from neighborhood
+    sketches, and admissions are decided by skip counters so rejected
+    arrivals cost O(1) in bulk."""
 
     mode = "osr"
 
@@ -780,14 +773,12 @@ class SkipReservoirEngine(_SamplingEngineBase):
             if k3:
                 # x is adjacent to exactly one of u, v
                 code, shape = _triple_member(u, lu, v, lv, x, labels[x], le, nu.get(x), nv.get(x))
-                vs = (u, v, x)
             else:
                 code, shape = member_columns(g.induced_subgraph(x))
-                vs = x
             if action == _FILL:
-                res.fill_free_slot(code, shape, vs)
+                res.fill_free_slot(code, shape)
             else:
-                res.replace_random_slot(code, shape, vs, rng)
+                res.replace_random_slot(code, shape, rng)
             admitted += 1
         return arrivals, admitted
 

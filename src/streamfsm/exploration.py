@@ -4,7 +4,7 @@ of the newly created ones."""
 
 from __future__ import annotations
 
-from .graph import DynamicLabeledGraph, GraphError, is_connected
+from .graph import DynamicLabeledGraph, GraphError
 from .sketch import SketchStore, intersection_estimate
 
 
@@ -17,22 +17,35 @@ def _exclusive_thirds(g: DynamicLabeledGraph, u: int, v: int):
     return ex_u, ex_v
 
 
-def new_vertex_sets(g: DynamicLabeledGraph, u: int, v: int, k: int) -> list[tuple[int, ...]]:
+def _connected_without_edge(adj, vset, u: int, v: int) -> bool:
+    # whether vset, which holds u, induces a connected subgraph less (u, v)
+    seen = {u}
+    stack = [u]
+    while stack:
+        a = stack.pop()
+        na = adj[a]
+        skip = v if a == u else u if a == v else None
+        for b in vset:
+            if b in na and b != skip and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == len(vset)
+
+
+def new_vertex_sets(
+    g: DynamicLabeledGraph, u: int, v: int, k: int, sets=None
+) -> list[tuple[int, ...]]:
     """Vertex sets whose induced subgraph is connected only through (u, v).
 
     ``g`` may hold the (u, v) edge or not; either way the answer is the set
     of k-sets that the edge's presence newly connects. Sorted deterministic
-    order.
+    order. ``sets``, if given, is the pair's ``candidate_vertex_sets``
+    already enumerated.
     """
-    edge_present = g.has_edge(u, v)
-    out = []
-    for vset in g.candidate_vertex_sets(u, v, k):
-        inst = g.induced_subgraph(vset)
-        if edge_present:
-            inst = inst.without_edge(u, v)
-        if not is_connected(inst):
-            out.append(vset)
-    return out
+    adj = g.adj
+    if sets is None:
+        sets = g.candidate_vertex_sets(u, v, k)
+    return [vset for vset in sets if not _connected_without_edge(adj, vset, u, v)]
 
 
 def _absent_edge_delta(g: DynamicLabeledGraph, u: int, v: int, k: int, present: str) -> int:

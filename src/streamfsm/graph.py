@@ -43,17 +43,6 @@ class SubgraphInstance(NamedTuple):
             i, j = j, i
         return self._replace(edges=tuple(sorted(self.edges + ((i, j, label),))))
 
-    def without_edge(self, u: int, v: int) -> "SubgraphInstance":
-        """Copy of this instance with the (u, v) edge removed."""
-        i = self.vertices.index(u)
-        j = self.vertices.index(v)
-        if i > j:
-            i, j = j, i
-        kept = tuple(e for e in self.edges if e[0] != i or e[1] != j)
-        if len(kept) == len(self.edges):
-            raise GraphError(f"edge ({u}, {v}) not present in instance")
-        return self._replace(edges=kept)
-
 
 def is_connected(instance: SubgraphInstance) -> bool:
     """True iff the instance's edge set connects all its vertices."""
@@ -101,18 +90,32 @@ class DynamicLabeledGraph:
     def num_vertices(self) -> int:
         return len(self.labels)
 
-    def ensure_vertex(self, v: int, label: int) -> None:
-        """Register a vertex, raising if it exists with a different label."""
+    def _check_vertex(self, v: int, label: int) -> None:
+        # raises unless v is registered with this label or can be
         known = self.labels.get(v)
         if known is None:
             if not 0 <= v < VERTEX_ID_LIMIT:
                 raise GraphError(f"vertex ids must lie in [0, 2**64), got {v}")
-            self.labels[v] = label
-            self.adj[v] = {}
         elif known != label:
             raise LabelConflictError(
                 f"vertex {v} is labeled {known}, stream says {label}"
             )
+
+    def ensure_vertex(self, v: int, label: int) -> None:
+        """Register a vertex, raising if it exists with a different label."""
+        if self.labels.get(v) != label:
+            self._check_vertex(v, label)
+            self.labels[v] = label
+            self.adj[v] = {}
+
+    def ensure_endpoints(self, u: int, label_u: int, v: int, label_v: int) -> None:
+        """Register both endpoints of an edge; if either one cannot be
+        registered, raise before registering the other."""
+        labels = self.labels
+        if labels.get(u) != label_u or labels.get(v) != label_v:
+            self._check_vertex(v, label_v)
+            self.ensure_vertex(u, label_u)
+            self.ensure_vertex(v, label_v)
 
     def vertex_label(self, v: int) -> int:
         try:
@@ -142,8 +145,7 @@ class DynamicLabeledGraph:
         """Insert edge (u, v); returns False when it already exists (no-op)."""
         if u == v:
             raise GraphError(f"self-loop rejected at vertex {u}")
-        self.ensure_vertex(u, label_u)
-        self.ensure_vertex(v, label_v)
+        self.ensure_endpoints(u, label_u, v, label_v)
         if v in self.adj[u]:
             return False
         self.adj[u][v] = label_e

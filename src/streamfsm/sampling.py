@@ -4,14 +4,14 @@ The reservoir stores the sample and the counters that keep it uniform over
 the connected k-subgraph population: N, and the c1/c2 split of the
 deletions that later insertions must pair with. It places members; the
 admission rules (the classic reservoir step and the pairing step, by a coin
-per arrival or by skip counters) live in the engines. A vertex index gives
-constant-expected-time access to the sample members an edge event can
-touch, and per-class counts kept beside the slots make a frequency report
-cost O(pattern classes), not O(sample size). The sample is
-held in columns of ints and shared records, so a full sample adds no work to
-the garbage collector, and a placement is small-int work: the caller passes
-the member's vertex ids, so only a random replacement's victim is decoded,
-and the counts are indexed by class id, so no pattern key is hashed.
+per arrival or by skip counters) live in the engines. Per-class counts
+kept beside the slots make a frequency report cost O(pattern classes), not
+O(sample size). The sample is held in columns of ints and shared records, so
+a full sample adds no work to the garbage collector, and a placement is
+small-int work on the columns, a code -> slot map and the class-id counts.
+Nothing is kept per vertex: the members an edge event touches are among the
+event's candidate sets, read off the graph's adjacency, and the pair lookup
+probes the code -> slot map with their codes.
 """
 
 from __future__ import annotations
@@ -133,21 +133,23 @@ class SubgraphReservoir:
       * ``n_population``: current number of live subgraphs in the graph;
       * ``c1``/``c2``: uncompensated deletions that did / did not hit the
         sample (their sum is the pairing debt);
-      * ``_pos``: code -> slot, and ``index``: vertex id -> codes of the
-        members containing it.
+      * ``_pos``: code -> slot;
+      * ``index``: the adjacency the size-3 pair lookup reads (vertex ->
+        neighbour -> edge label), the engine graph's ``adj``; the reservoir
+        never writes it.
 
     Nothing per member is an object the garbage collector tracks: codes are
     ints, and a shared shape record is one object however many members use
     it. ``slots`` builds ``SubgraphInstance`` members on access. All members
     of one reservoir have the same size (codes of different sizes collide).
-    Placements take a member as its ``(code, shape)`` pair plus its vertex
-    ids in any order, which update the index without a decode.
+    Placements take a member as its ``(code, shape)`` pair and touch only
+    the columns, the position map and the counts.
     """
 
     __slots__ = ("capacity", "codes", "shapes", "counts", "n_population", "c1", "c2",
                  "_pos", "index")
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, adjacency: dict[int, dict]) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -158,7 +160,7 @@ class SubgraphReservoir:
         self.c1 = 0
         self.c2 = 0
         self._pos: dict[int, int] = {}
-        self.index: dict[int, set[int]] = {}
+        self.index = adjacency
 
     @property
     def occupancy(self) -> int:
@@ -168,36 +170,50 @@ class SubgraphReservoir:
     def slots(self) -> _SlotView:
         return _SlotView(self)
 
-    def members_containing_pair(self, u: int, v: int) -> list:
-        """Sample members whose vertex set contains both u and v, in
-        ascending code order: ``(code, third vertex)`` pairs for members of
-        size 3, bare codes for other sizes (``decode_vertices`` gives their
-        ids)."""
+    def members_containing_pair(self, u: int, v: int) -> list[tuple[int, int]]:
+        """Sampled size-3 members over u and v, as ``(code, third vertex)``
+        pairs in ascending code order.
+
+        Call it just after the edge (u, v) comes into or goes from
+        ``index``, before the sample is updated: each member was connected
+        before the event, so its third vertex, probed by code, is a common
+        neighbour of u and v if the edge just came, else a neighbour of
+        either.
+        """
+        pos = self._pos
         index = self.index
-        bu = index.get(u)
-        if not bu:
+        nu = index.get(u)
+        nv = index.get(v)
+        if not pos or nu is None or nv is None:
             return []
-        bv = index.get(v)
-        if not bv:
-            return []
-        hits = sorted(bu & bv)
-        if len(self.shapes[0][0]) != 3:
-            return hits
-        # Codes read (a, b, c) with a < b < c. Below lo's first digit the
-        # third vertex is a; from (lo, hi, 0) on it is c; between, it is b.
+        thirds = nu.keys() & nv.keys() if v in nu else nu.keys() | nv.keys()
+        # codes read (a, b, c) with a < b < c: a third vertex w adds w to
+        # (lo, hi, 0) above the pair, w * R to (lo, 0, hi) between, w * R**2
+        # to (0, lo, hi) below
         x = CODE_RADIX
         lo, hi = (u, v) if u < v else (v, u)
-        first = lo * _RADIX2
-        last = (lo * x + hi) * x
+        below = lo * x + hi
+        between = lo * _RADIX2 + hi
+        above = below * x
         out = []
-        for code in hits:
-            if code >= last:
-                out.append((code, code - last))
-            elif code >= first:
-                out.append((code, (code - first) // x))
+        for w in thirds:
+            if w > hi:
+                code = above + w
+            elif w > lo:
+                code = between + w * x
             else:
-                out.append((code, code // _RADIX2))
+                code = below + w * _RADIX2
+            if code in pos:
+                out.append((code, w))
+        out.sort()
         return out
+
+    def members_among(self, vertex_sets) -> list[tuple[int, tuple[int, ...]]]:
+        """The sampled sets among ``vertex_sets`` (ascending ids each) as
+        ``(code, vertex set)`` pairs in the given order: the pair lookup for
+        sizes other than 3, given the pair's candidate sets."""
+        pos = self._pos
+        return [(code, vs) for vs in vertex_sets if (code := vertex_code(vs)) in pos]
 
     def _uncount(self, cid: int) -> None:
         counts = self.counts
@@ -207,37 +223,24 @@ class SubgraphReservoir:
         else:
             del counts[cid]
 
-    def _add(self, code: int, shape: tuple, vertices) -> None:
+    def _add(self, code: int, shape: tuple) -> None:
         pos = self._pos
         codes = self.codes
         n = len(codes)
         if pos.setdefault(code, n) != n:
-            raise SampleInvariantError(f"subgraph {sorted(vertices)} already sampled")
+            vs = decode_vertices(code, len(shape[0]))
+            raise SampleInvariantError(f"subgraph {vs} already sampled")
         codes.append(code)
         self.shapes.append(shape)
         counts = self.counts
         cid = shape[2]
         counts[cid] = counts.get(cid, 0) + 1
-        index = self.index
-        for x in vertices:
-            bucket = index.get(x)
-            if bucket is None:
-                index[x] = {code}
-            else:
-                bucket.add(code)
 
-    def _remove_at(self, idx: int, vertices) -> None:
+    def _remove_at(self, idx: int) -> None:
         codes = self.codes
         shapes = self.shapes
-        code = codes[idx]
         pos = self._pos
-        del pos[code]
-        index = self.index
-        for x in vertices:
-            bucket = index[x]
-            bucket.remove(code)
-            if not bucket:
-                del index[x]
+        del pos[codes[idx]]
         self._uncount(shapes[idx][2])
         last = codes.pop()
         last_shape = shapes.pop()
@@ -252,20 +255,20 @@ class SubgraphReservoir:
             raise SampleInvariantError(f"subgraph with code {code} is not in the sample")
         return idx
 
-    def remove_destroyed(self, code: int, vertices) -> None:
+    def remove_destroyed(self, code: int) -> None:
         """Drop a destroyed sampled subgraph, growing c1.
 
         Population accounting is the caller's, which applies a deletion's
         delta in bulk.
         """
-        self._remove_at(self._slot_of(code), vertices)
+        self._remove_at(self._slot_of(code))
         self.c1 += 1
 
     def replace_modified(self, code: int, shape: tuple) -> None:
         """Give a sampled member the shape of its modified version, in place.
 
         Same vertex set, different induced edges; the class counts follow
-        the new class, the population counters and the index do not change.
+        the new class, the population counters do not change.
         """
         idx = self._slot_of(code)
         shapes = self.shapes
@@ -278,24 +281,20 @@ class SubgraphReservoir:
     # Placements of admitted arrivals; the engine has taken the admission
     # decision (by a coin or a skip counter).
 
-    def fill_free_slot(self, code: int, shape: tuple, vertices) -> None:
+    def fill_free_slot(self, code: int, shape: tuple) -> None:
         if len(self.codes) >= self.capacity:
             raise SampleInvariantError("no free slot to fill")
-        self._add(code, shape, vertices)
+        self._add(code, shape)
 
-    def replace_random_slot(
-        self, code: int, shape: tuple, vertices, rng: random.Random
-    ) -> None:
+    def replace_random_slot(self, code: int, shape: tuple, rng: random.Random) -> None:
         if len(self.codes) != self.capacity:
             raise SampleInvariantError("random replacement needs a full sample")
-        idx = rng.randrange(self.capacity)
-        victim = decode_vertices(self.codes[idx], len(self.shapes[idx][0]))
-        self._remove_at(idx, victim)
-        self._add(code, shape, vertices)
+        self._remove_at(rng.randrange(self.capacity))
+        self._add(code, shape)
 
     def verify(self) -> None:
-        """Check the index and position maps, the per-slot class ids and
-        the per-class counts against the slots; raises."""
+        """Check the position map, the per-slot class ids and the per-class
+        counts against the slots; raises."""
         codes = self.codes
         if len(codes) > self.capacity:
             raise SampleInvariantError("occupancy exceeds capacity")
@@ -305,7 +304,6 @@ class SubgraphReservoir:
             raise SampleInvariantError("occupancy exceeds population")
         if len(self._pos) != len(codes) or len(self.shapes) != len(codes):
             raise SampleInvariantError("position map or shape column out of sync")
-        fresh: dict[int, set[int]] = {}
         counts: dict[int, int] = {}
         sizes = set()
         for idx, (code, inst) in enumerate(zip(codes, self.slots)):
@@ -317,16 +315,12 @@ class SubgraphReservoir:
             ):
                 raise SampleInvariantError(f"code {code} is not an ascending vertex set")
             sizes.add(len(vs))
-            for v in vs:
-                fresh.setdefault(v, set()).add(code)
             cid = self.shapes[idx][2]
             if not 0 <= cid < len(CLASS_KEYS) or CLASS_KEYS[cid] != canonical_key(inst):
                 raise SampleInvariantError(f"stale class id for {vs}")
             counts[cid] = counts.get(cid, 0) + 1
         if len(sizes) > 1:
             raise SampleInvariantError(f"members of sizes {sorted(sizes)} in one sample")
-        if fresh != self.index:
-            raise SampleInvariantError("vertex index out of sync with slots")
         if counts != self.counts:
             raise SampleInvariantError("class counts out of sync with slots")
 

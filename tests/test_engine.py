@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from scipy import stats
 
 from streamfsm.engine import (
     EngineConfig,
@@ -15,11 +16,11 @@ from streamfsm.engine import (
     recommended_sample_size,
     snapshot_lines,
 )
-from streamfsm.graph import SubgraphInstance
+from streamfsm.graph import GraphError, LabelConflictError, SubgraphInstance
 from streamfsm.pattern import PatternKey, canonical_key
 from streamfsm.stream import generate_stream
 
-from conftest import add_event, brute_pattern_counts, del_event
+from conftest import add_event, brute_connected_sets, brute_pattern_counts, del_event
 
 
 def test_recommended_sample_size_values():
@@ -110,7 +111,7 @@ def _engine_state(eng):
     if eng.mode != "exact":
         res = eng.reservoir
         state += [list(res.codes), list(res.shapes), res.n_population, res.c1, res.c2,
-                  {x: set(b) for x, b in res.index.items()}, eng.rng.getstate()]
+                  eng.rng.getstate()]
     return state
 
 
@@ -130,6 +131,31 @@ def test_self_loop_event_rejected_without_state_change(mode, w_mode):
         with pytest.raises(EngineError, match="self-loop"):
             eng.process_event(ev)
         assert _engine_state(eng) == before
+    if mode == "exact":
+        eng.verify_counts()
+    else:
+        eng.verify_invariants()
+
+
+@pytest.mark.parametrize("mode,w_mode", [("exact", "exact"), ("sr", "exact"),
+                                         ("osr", "exact"), ("osr", "sketch")])
+def test_rejected_insertion_leaves_no_vertex_behind(mode, w_mode):
+    """An insertion whose endpoint has another label, or an id out of
+    range, raises before either endpoint is registered."""
+    eng = build_engine(EngineConfig(mode=mode, w_mode=w_mode, dynamic=True, sample_size=4,
+                                    sketch_size=2, seed=2))
+    for ev in generate_stream(12, 40, 2, 2, model="power-law", seed=2):
+        eng.process_event(ev)
+    hub = max(eng.graph.adj, key=eng.graph.degree)
+    other = 1 - eng.graph.labels[hub]
+    before = _engine_state(eng)
+    for ev, error in ((add_event(99, 0, hub, other, 0), LabelConflictError),
+                      (add_event(hub, other, 99, 0, 0), LabelConflictError),
+                      (add_event(99, 0, 2**64, 0, 0), GraphError)):
+        with pytest.raises(error):
+            eng.process_event(ev)
+        assert _engine_state(eng) == before
+        assert 99 not in eng.graph.labels and 99 not in eng.graph.adj
     if mode == "exact":
         eng.verify_counts()
     else:
@@ -433,3 +459,39 @@ SEEDED_DIGESTS = {
 def test_seeded_output_is_pinned(case):
     k, mode, w_mode, delete_fraction = case
     assert _seeded_digest(k, mode, w_mode, delete_fraction) == SEEDED_DIGESTS[case]
+
+
+# Criteria 03/04's streams and rule, for osr exact-W: M=20, every connected
+# 3-set's inclusion rate within 4 sigma of the uniform rate, chi-square
+# p >= 1e-3. The seed count is set for run time; sigma follows from it.
+OSR_UNIFORMITY_RUNS = 3_000
+
+
+@pytest.mark.parametrize("dynamic", [False, True], ids=["insert-only", "dynamic"])
+def test_osr_exact_inclusion_is_uniform(dynamic):
+    if dynamic:
+        events = generate_stream(1100, 300, 3, 2, model="uniform", delete_fraction=0.25, seed=3)
+    else:
+        events = generate_stream(1500, 300, 3, 2, model="uniform", seed=0)
+    runs = OSR_UNIFORMITY_RUNS
+    incl = Counter()
+    occupancies = set()
+    for seed in range(runs):
+        eng = build_engine(EngineConfig(k=3, mode="osr", w_mode="exact", dynamic=dynamic,
+                                        sample_size=20, seed=seed))
+        for ev in events:
+            eng.process_event(ev)
+        occupancies.add(eng.reservoir.occupancy)
+        for inst in eng.reservoir.slots:
+            incl[inst.vertices] += 1
+    population = brute_connected_sets(eng.graph, 3)
+    nstar = len(population)
+    assert eng.population == nstar
+    assert len(occupancies) == 1, f"occupancy not seed-invariant: {occupancies}"
+    m_prime = next(iter(occupancies))
+    p = m_prime / nstar
+    sigma = math.sqrt(p * (1 - p) / runs)
+    worst = max(abs(incl[t] / runs - p) for t in population)
+    assert worst <= 4 * sigma, f"worst deviation {worst / sigma:.2f} sigma"
+    chi = stats.chisquare([incl[t] for t in population], [runs * p] * nstar)
+    assert chi.pvalue >= 1e-3

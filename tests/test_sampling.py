@@ -7,7 +7,8 @@ import pytest
 from scipy import stats
 
 from streamfsm.engine import EngineConfig, _triple_member, build_engine
-from streamfsm.graph import SubgraphInstance
+from streamfsm.graph import DynamicLabeledGraph, SubgraphInstance
+from streamfsm.stream import generate_stream
 from streamfsm.pattern import PatternKey, canonical_key
 from streamfsm.sampling import (
     CLASS_KEYS,
@@ -32,7 +33,7 @@ def _inst(*vertices):
 
 
 def _place(res, inst):
-    res.fill_free_slot(*member_columns(inst), inst.vertices)
+    res.fill_free_slot(*member_columns(inst))
 
 
 # The admission rules live in ReservoirEngine: one coin per arrival. Each
@@ -92,7 +93,7 @@ def test_insert_eviction_uniform():
 
 
 def test_duplicate_insert_rejected():
-    res = SubgraphReservoir(3)
+    res = SubgraphReservoir(3, {})
     res.n_population = 2
     _place(res, _inst(1, 2, 3))
     with pytest.raises(SampleInvariantError):
@@ -164,7 +165,7 @@ def test_notify_deleted_cases():
 
 
 def test_replace_modified_neutral():
-    res = SubgraphReservoir(4)
+    res = SubgraphReservoir(4, {})
     res.n_population = 1
     wedge = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (1, 2, 0)))
     _place(res, wedge)
@@ -184,8 +185,30 @@ def _pairs(*vertex_sets):
     return sorted((vertex_code(sorted(vs)), vs[2]) for vs in vertex_sets)
 
 
+def _graph(*edges):
+    g = DynamicLabeledGraph()
+    for a, b in edges:
+        g.add_edge(a, 0, b, 0, 0)
+    return g
+
+
+def _filled(*vertex_sets, graph=None):
+    """A reservoir holding path members over ``vertex_sets``, whose pair
+    lookup reads the adjacency of ``graph`` (none: an empty one)."""
+    res = SubgraphReservoir(len(vertex_sets) + 1, {} if graph is None else graph.adj)
+    res.n_population = len(vertex_sets)
+    for vs in vertex_sets:
+        _place(res, _inst(*vs))
+    return res
+
+
 def test_members_containing_pair():
-    res = SubgraphReservoir(4)
+    """Just after (1, 2) is inserted, the members over it are the sampled
+    sets whose third vertex is a common neighbour; just after (1, 8) is
+    deleted, those whose third vertex neighbours either endpoint."""
+    g = _graph((1, 3), (2, 3), (1, 9), (2, 9), (1, 7), (7, 8), (1, 4))
+    res = SubgraphReservoir(4, g.adj)
+    g.add_edge(1, 0, 2, 0, 0)
     assert res.members_containing_pair(1, 2) == []
     res.n_population = 3
     _place(res, _inst(1, 2, 3))
@@ -194,25 +217,21 @@ def test_members_containing_pair():
     _place(res, _inst(1, 2, 9))
     assert res.members_containing_pair(1, 2) == _pairs((1, 2, 3), (1, 2, 9))
     assert res.members_containing_pair(8, 1) == _pairs((8, 1, 7))
-
-
-def _filled(*vertex_sets):
-    res = SubgraphReservoir(len(vertex_sets) + 1)
-    res.n_population = len(vertex_sets)
-    for vs in vertex_sets:
-        _place(res, _inst(*vs))
-    return res
+    assert res.members_containing_pair(1, 4) == []
 
 
 def test_members_containing_pair_smaller_v_bucket():
-    res = _filled((1, 2, 3), (1, 4, 5), (1, 6, 7), (1, 8, 9), (2, 10, 11))
+    g = _graph((1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7), (1, 8), (8, 9),
+               (2, 10), (10, 11))
+    res = _filled((1, 2, 3), (1, 4, 5), (1, 6, 7), (1, 8, 9), (2, 10, 11), graph=g)
     assert len(res.index[2]) < len(res.index[1])
     assert res.members_containing_pair(1, 2) == _pairs((1, 2, 3))
     assert res.members_containing_pair(2, 1) == _pairs((1, 2, 3))
 
 
 def test_members_containing_pair_missing_v_bucket():
-    res = _filled((1, 2, 3), (1, 4, 5))
+    g = _graph((1, 2), (2, 3), (1, 4), (4, 5))
+    res = _filled((1, 2, 3), (1, 4, 5), graph=g)
     assert 99 not in res.index
     assert res.members_containing_pair(1, 99) == []
     assert res.members_containing_pair(99, 1) == []
@@ -220,8 +239,10 @@ def test_members_containing_pair_missing_v_bucket():
 
 def test_members_containing_pair_sorted():
     """Ascending code order, with the third vertex below, between and above
-    the pair, for either argument order."""
-    res = _filled((5, 9, 40), (5, 9, 12), (1, 5, 9), (5, 7, 9), (5, 6, 8))
+    the pair, for either argument order, just after the pair's edge is
+    deleted: a third vertex adjacent to one endpoint only counts too."""
+    g = _graph((5, 1), (9, 1), (5, 7), (9, 12), (5, 40), (9, 40), (5, 6), (6, 8))
+    res = _filled((5, 9, 40), (5, 9, 12), (1, 5, 9), (5, 7, 9), (5, 6, 8), graph=g)
     want = _pairs((9, 5, 1), (9, 5, 7), (9, 5, 12), (9, 5, 40))
     assert [code for code, _ in want] == [
         vertex_code(vs) for vs in [(1, 5, 9), (5, 7, 9), (5, 9, 12), (5, 9, 40)]
@@ -230,15 +251,57 @@ def test_members_containing_pair_sorted():
     assert res.members_containing_pair(5, 9) == want
 
 
-def test_members_containing_pair_other_sizes_returns_codes():
+def test_members_among_returns_sampled_sets_in_order():
+    """The lookup for other sizes probes the given candidate sets."""
     res = _filled((1, 2, 3, 4), (2, 3, 5, 6), (1, 3, 7, 8))
-    assert res.members_containing_pair(3, 2) == sorted(
-        [vertex_code((1, 2, 3, 4)), vertex_code((2, 3, 5, 6))]
-    )
+    candidates = [(1, 2, 3, 4), (1, 2, 3, 9), (2, 3, 4, 5), (2, 3, 5, 6)]
+    assert res.members_among(candidates) == [
+        (vertex_code(vs), vs) for vs in [(1, 2, 3, 4), (2, 3, 5, 6)]
+    ]
+    assert res.members_among([]) == []
+
+
+@pytest.mark.parametrize("k,mode,w_mode", [(3, "sr", "exact"), (3, "osr", "exact"),
+                                           (3, "osr", "sketch"), (4, "sr", "exact"),
+                                           (4, "osr", "exact")])
+def test_pair_lookup_matches_slot_scan(k, mode, w_mode, monkeypatch):
+    """At every event of seeded dynamic streams, the engine's pair lookup,
+    which probes only the pair's candidate sets, returns what a scan of the
+    slots finds: every sampled member over the event's pair, in ascending
+    code order."""
+    name = "members_containing_pair" if k == 3 else "members_among"
+    lookup = getattr(SubgraphReservoir, name)
+    pair = []
+    calls = []
+
+    def checked(res, *args):
+        out = lookup(res, *args)
+        u, v = pair
+        over = [(code, inst.vertices) for code, inst in zip(res.codes, res.slots)
+                if u in inst.vertices and v in inst.vertices]
+        if k == 3:
+            over = [(code, next(x for x in vs if x not in pair)) for code, vs in over]
+        assert out == sorted(over)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(SubgraphReservoir, name, checked)
+    length = 120 if k == 4 else 500
+    for seed, model in ((0, "power-law"), (1, "uniform")):
+        eng = build_engine(EngineConfig(k=k, mode=mode, w_mode=w_mode, dynamic=True,
+                                        sample_size=12, sketch_size=4, seed=seed))
+        events = generate_stream(30 if k == 4 else 40, length, 2, 2, model=model,
+                                 delete_fraction=0.3, seed=seed)
+        for ev in events:
+            pair[:] = (ev.u, ev.v)
+            before = len(calls)
+            eng.process_event(ev)
+            assert len(calls) == before + 1
+        assert sum(calls) > 0 and eng.reservoir.n_population > eng.sample_size
 
 
 def test_counts_follow_placements():
-    res = SubgraphReservoir(2)
+    res = SubgraphReservoir(2, {})
     wedge = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (1, 2, 0)))
     tri = wedge.with_edge(1, 3, 0)
     res.n_population = 1
@@ -247,9 +310,9 @@ def test_counts_follow_placements():
     res.replace_modified(*member_columns(tri))
     assert keyed_counts(res.counts) == {canonical_key(tri): 1}
     assert [CLASS_KEYS[shape[2]] for shape in res.shapes] == [canonical_key(tri)]
-    res.remove_destroyed(vertex_code((1, 2, 3)), (3, 1, 2))
+    res.remove_destroyed(vertex_code((1, 2, 3)))
     assert res.counts == {} and res.shapes == [] and res.codes == []
-    assert res.c1 == 1 and res.index == {}
+    assert res.c1 == 1 and res.occupancy == 0
     res.verify()
 
 
@@ -283,22 +346,31 @@ def test_verify_catches_stale_counts():
 
 
 def test_index_exact_after_random_ops(rng):
-    res = SubgraphReservoir(8)
+    """After random placements and removals the position map checks out,
+    and over a complete graph, where every third vertex is a common
+    neighbour, the pair lookup finds every sampled member over the pair."""
+    n = 40
+    g = _graph(*((a, b) for a in range(n) for b in range(a + 1, n)))
+    res = SubgraphReservoir(8, g.adj)
     for step in range(400):
         if res.codes and rng.random() < 0.35:
-            code = rng.choice(res.codes)
-            res.remove_destroyed(code, res.slots[res.codes.index(code)].vertices)
+            res.remove_destroyed(rng.choice(res.codes))
         else:
-            vs = tuple(sorted(rng.sample(range(40), 3)))
+            vs = tuple(sorted(rng.sample(range(n), 3)))
             if vertex_code(vs) in res.codes:
                 continue
             res.n_population += 1
             code, shape = member_columns(_inst(*vs))
             if res.occupancy < res.capacity:
-                res.fill_free_slot(code, shape, vs)
+                res.fill_free_slot(code, shape)
             else:
-                res.replace_random_slot(code, shape, rng.sample(vs, 3), rng)
+                res.replace_random_slot(code, shape, rng)
         res.verify()
+        u, v = rng.sample(range(n), 2)
+        want = sorted((code, next(x for x in inst.vertices if x not in (u, v)))
+                      for code, inst in zip(res.codes, res.slots)
+                      if u in inst.vertices and v in inst.vertices)
+        assert res.members_containing_pair(u, v) == want
 
 
 def test_vertex_codes_order_and_bound():
@@ -310,7 +382,9 @@ def test_vertex_codes_order_and_bound():
         vertex_code((1, 2, 2**64))
     with pytest.raises(ValueError):
         vertex_code((-1, 2, 3))
-    res = _filled(*sets)
+    g = _graph((top, top - 1), (5, top), (5, top - 1), (top - 2, top), (top - 2, top - 1),
+               (0, 1), (1, 2), (2, 3), (0, 2))
+    res = _filled(*sets, graph=g)
     res.verify()
     assert [m.vertices for m in res.slots] == sets
     want = _pairs((top, top - 1, 5), (top, top - 1, top - 2))
@@ -341,23 +415,23 @@ def _tracked() -> int:
 
 
 def test_size3_sample_is_invisible_to_the_collector():
-    """A full sample of size-3 members adds one tracked object per index
-    bucket and none per member; replacements on it add none."""
+    """A full sample of size-3 members adds no tracked object per member
+    and none per vertex (a few shared shape records at most); replacements
+    on it add none."""
     rng = random.Random(3)
     triples = [tuple(rng.sample(range(3000), 3)) for _ in range(60_000)]
     triples = list(dict.fromkeys(tuple(sorted(t)) for t in triples))
     fill, later = triples[:50_000], triples[50_000:51_000]
-    vertices = {x for t in fill for x in t}
-    res = SubgraphReservoir(len(fill))
+    res = SubgraphReservoir(len(fill), {})
     res.n_population = len(fill)
     before = _tracked()
     for u, v, w in fill:
-        res.fill_free_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None), (u, v, w))
-    assert _tracked() - before < len(vertices) + 20
+        res.fill_free_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None))
+    assert _tracked() - before < 20
     before = _tracked()
     for u, v, w in later:
         res.n_population += 1
-        res.replace_random_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None), (u, v, w), rng)
+        res.replace_random_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None), rng)
     assert _tracked() <= before
 
 
