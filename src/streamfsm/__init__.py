@@ -29,7 +29,6 @@ from .graph import (
 from .pattern import (
     PatternBudgetError,
     PatternKey,
-    PatternUniverse,
     canonical_key,
     count_patterns,
 )
@@ -46,7 +45,6 @@ from .sketch import (
     SketchStore,
     VertexHasher,
     intersection_estimate,
-    union_estimate,
 )
 from .stream import (
     StreamEvent,
@@ -75,7 +73,6 @@ __all__ = [
     "MetricsResult",
     "PatternBudgetError",
     "PatternKey",
-    "PatternUniverse",
     "SampleInvariantError",
     "SketchStore",
     "StreamEvent",
@@ -106,6 +103,5 @@ __all__ = [
     "skip_rs",
     "skip_rs_sequential",
     "snapshot_lines",
-    "union_estimate",
     "write_stream",
 ]

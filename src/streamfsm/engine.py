@@ -21,12 +21,7 @@ from itertools import chain
 from math import ceil, log
 from typing import NamedTuple
 
-from .exploration import (
-    _exclusive_thirds,
-    compute_d_approx,
-    compute_d_exact,
-    new_vertex_sets,
-)
+from .exploration import compute_d_exact, exclusive_thirds, new_vertex_sets, sketch_delta
 from .graph import DynamicLabeledGraph, SubgraphInstance, is_connected
 from .pattern import PatternKey, canonical_key, count_patterns
 from .rng import substream, substream_seed
@@ -42,7 +37,7 @@ from .sampling import (
     skip_rp,
     skip_rs,
 )
-from .sketch import SketchStore, VertexHasher, intersection_estimate
+from .sketch import SketchStore, VertexHasher
 from .stream import StreamEvent
 
 logger = logging.getLogger(__name__)
@@ -196,35 +191,40 @@ def snapshot_lines(estimate: FrequencyEstimate, report: FrequentReport) -> list[
     return lines
 
 
-# Raw size-3 signature -> shape record (vertex_labels, edges, class id).
-# The raw signature is the order that sorts the ids (u, v, w), the three
-# vertex labels and the three edge labels (None for an absent edge); it fixes
-# the member's label and edge tuples and its pattern class. Every k=3 member
-# shares its record with the other members of its signature, so the sample
-# stores one int code and one shared reference per member. At most
-# 6 * L^3 * (E + 1)^3 entries for L vertex and E edge labels.
-_TRIPLES: dict[tuple, tuple] = {}
-
 # sorting order -> positions of u, v, w in the sorted id tuple
 _ORDER_POS = ((0, 1, 2), (0, 2, 1), (1, 2, 0), (1, 0, 2), (2, 0, 1), (2, 1, 0))
 
 
-def _intern_triple(raw: tuple) -> tuple:
-    order, lu, lv, lw, e_uv, e_uw, e_vw = raw
-    pu, pv, pw = _ORDER_POS[order]
-    labs = [0, 0, 0]
-    labs[pu], labs[pv], labs[pw] = lu, lv, lw
-    edges = []
-    for a, b, lab in ((pu, pv, e_uv), (pu, pw, e_uw), (pv, pw, e_vw)):
-        if lab is not None:
-            edges.append((a, b, lab) if a < b else (b, a, lab))
-    edges.sort()
-    labs = tuple(labs)
-    edges = tuple(edges)
-    key = canonical_key(SubgraphInstance((0, 1, 2), labs, edges))
-    shared = (labs, edges, class_id(key))
-    _TRIPLES[raw] = shared
-    return shared
+class _TripleTable(dict):
+    """Raw size-3 signature -> shape record (vertex_labels, edges, class id),
+    interned on first lookup.
+
+    The raw signature is the order that sorts the ids (u, v, w), the three
+    vertex labels and the three edge labels (None for an absent edge); it
+    fixes the member's label and edge tuples and its pattern class. Every k=3
+    member shares its record with the other members of its signature, so the
+    sample stores one int code and one shared reference per member. At most
+    6 * L^3 * (E + 1)^3 entries for L vertex and E edge labels.
+    """
+
+    def __missing__(self, raw: tuple) -> tuple:
+        order, lu, lv, lw, e_uv, e_uw, e_vw = raw
+        pu, pv, pw = _ORDER_POS[order]
+        labs = [0, 0, 0]
+        labs[pu], labs[pv], labs[pw] = lu, lv, lw
+        edges = []
+        for a, b, lab in ((pu, pv, e_uv), (pu, pw, e_uw), (pv, pw, e_vw)):
+            if lab is not None:
+                edges.append((a, b, lab) if a < b else (b, a, lab))
+        edges.sort()
+        labs = tuple(labs)
+        edges = tuple(edges)
+        key = canonical_key(SubgraphInstance((0, 1, 2), labs, edges))
+        shared = self[raw] = (labs, edges, class_id(key))
+        return shared
+
+
+_TRIPLES = _TripleTable()
 
 
 def _triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple:
@@ -234,23 +234,7 @@ def _triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple:
         order = 0 if v < w else 1 if u < w else 2
     else:
         order = 3 if u < w else 4 if v < w else 5
-    raw = (order, lu, lv, lw, e_uv, e_uw, e_vw)
-    shape = _TRIPLES.get(raw)
-    if shape is None:
-        shape = _intern_triple(raw)
-    return shape
-
-
-class _Class3Table(dict):
-    """(lu, lv, lw, e_uv, e_uw, e_vw) -> class id of the size-3 set over
-    u, v, w with those labels. Unlike a raw signature it ignores the id
-    order, so it holds at most L^3 * (E + 1)^3 entries; a miss is filled
-    from _triple_shape with ids in sorted order."""
-
-    def __missing__(self, raw: tuple) -> int:
-        lu, lv, lw, e_uv, e_uw, e_vw = raw
-        cid = self[raw] = _triple_shape(0, lu, 1, lv, 2, lw, e_uv, e_uw, e_vw)[2]
-        return cid
+    return _TRIPLES[order, lu, lv, lw, e_uv, e_uw, e_vw]
 
 
 def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[int, tuple]:
@@ -356,7 +340,6 @@ class ExactCountEngine(_EngineBase):
         # classes appeared
         self.class_counts: dict[int, int] = {}
         self.population = 0
-        self._class3 = _Class3Table()
 
     @property
     def counts(self) -> dict[PatternKey, int]:
@@ -394,15 +377,17 @@ class ExactCountEngine(_EngineBase):
             labels = g.labels
             lu = labels[u]
             lv = labels[v]
-            table = self._class3
             common = nu.keys() & nv.keys()
-            ex_u, ex_v = _exclusive_thirds(g, u, v)
+            ex_u, ex_v = exclusive_thirds(g, u, v)
             # (class id, delta) in the order the counts move, generated lazily
-            # so that a hub's event holds no list of them
+            # so that a hub's event holds no list of them; order 0 reads the
+            # class off the record of ids in sorted order, as the class does
+            # not depend on the ids
+            t = _TRIPLES
             moves = chain(
-                ((table[lu, lv, labels[w], e, nu[w], nv[w]], d) for w in common for e, d in swap),
-                ((table[lu, lv, labels[w], le, nu[w], None], sign) for w in ex_u),
-                ((table[lu, lv, labels[w], le, None, nv[w]], sign) for w in ex_v),
+                ((t[0, lu, lv, labels[w], e, nu[w], nv[w]][2], d) for w in common for e, d in swap),
+                ((t[0, lu, lv, labels[w], le, nu[w], None][2], sign) for w in ex_u),
+                ((t[0, lu, lv, labels[w], le, None, nv[w]][2], sign) for w in ex_v),
             )
             modified = len(common)
             changed = len(ex_u) + len(ex_v)
@@ -487,14 +472,8 @@ class _SamplingEngineBase(_EngineBase):
             sets = list(g.candidate_vertex_sets(u, v, self.k))
             new = (new_vertex_sets(g, u, v, self.k, sets), ())
         elif store is None:
-            # The third vertices of the new sets, built before the add. osr
-            # pools these sets as they are; sr iterates them less {v} and
-            # {u}, which removes nothing here. Each expression fixes its own
-            # iteration order, which reaches the output through sr's coin
-            # order and osr's rng.sample over the pool, so both stay.
-            nu = g.adj[u]
-            nv = g.adj[v]
-            new = (nu.keys() - nv.keys(), nv.keys() - nu.keys())
+            # the third vertices of the new sets, built before the add
+            new = exclusive_thirds(g, u, v)
         else:
             new = None  # sketch-W counts them after the add
         g.add_edge(u, ev.label_u, v, ev.label_v, le)
@@ -512,6 +491,12 @@ class _SamplingEngineBase(_EngineBase):
         arrivals and the admissions."""
         raise NotImplementedError
 
+    def _sketch_count(self, u: int, v: int) -> tuple[int, tuple | None]:
+        """Sketch-W's delta of (u, v) rounded to whole subgraphs, with the
+        third vertices when ``sketch_delta`` counted them exactly."""
+        est, thirds = sketch_delta(self.sketches, self.graph, u, v)
+        return round(est), thirds
+
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
         g = self.graph
         res = self.reservoir
@@ -527,7 +512,7 @@ class _SamplingEngineBase(_EngineBase):
         elif store is None:
             destroyed = compute_d_exact(g, u, v, 3)
         else:
-            destroyed = int(round(compute_d_approx(store, g, u, v, 3)))
+            destroyed = self._sketch_count(u, v)[0]
         if destroyed < dropped:
             if store is None:
                 raise SampleInvariantError(
@@ -593,8 +578,6 @@ class ReservoirEngine(_SamplingEngineBase):
         g = self.graph
         res = self.reservoir
         k3 = self.k == 3
-        if k3:
-            new = (new[0] - {v}, new[1] - {u})  # see _apply_add
         nu = g.adj[u]
         nv = g.adj[v]
         labels = g.labels
@@ -733,30 +716,16 @@ class SkipReservoirEngine(_SamplingEngineBase):
 
     def _admit(self, u: int, v: int, le: int, new) -> tuple[int, int]:
         g = self.graph
-        if new is not None:
-            arrivals = len(new[0]) + len(new[1])
+        if new is None:
+            # the thirds come back when sketch-W counted them exactly
+            arrivals, new = self._sketch_count(u, v)
         else:
-            store = self.sketches
-            size = store.size
-            if len(g.adj[u]) <= size and len(g.adj[v]) <= size:
-                # both sketches are underfull, hence lossless: count exactly
-                new = _exclusive_thirds(g, u, v)
-                arrivals = len(new[0]) + len(new[1])
-            else:
-                sk_u = store.sketch(u)
-                sk_v = store.sketch(v)
-                est = (
-                    sk_u.size_estimate()
-                    + sk_v.size_estimate()
-                    - 2.0 * intersection_estimate(sk_u, sk_v)
-                    - 2.0
-                )
-                arrivals = int(round(est)) if est > 0.0 else 0
+            arrivals = len(new[0]) + len(new[1])
         placements = self._consume_arrivals(arrivals)
         if not placements:
             return arrivals, 0
         if new is None:
-            new = _exclusive_thirds(g, u, v)
+            new = exclusive_thirds(g, u, v)
         pool = [*new[0], *new[1]]
         res = self.reservoir
         rng = self.rng

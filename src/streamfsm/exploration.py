@@ -8,13 +8,17 @@ from .graph import DynamicLabeledGraph, GraphError
 from .sketch import SketchStore, intersection_estimate
 
 
-def _exclusive_thirds(g: DynamicLabeledGraph, u: int, v: int):
-    """Vertices adjacent to exactly one endpoint (the size-3 delta carriers)."""
+def exclusive_thirds(g: DynamicLabeledGraph, u: int, v: int):
+    """The third vertices of the size-3 sets that the edge (u, v) connects:
+    the neighbours of u that are not neighbours of v, and the mirror.
+
+    The one size-3 set algebra of every engine. ``g`` may hold the edge or
+    not; only when it does are the endpoints themselves subtracted."""
     nu = g.adj.get(u) or {}
     nv = g.adj.get(v) or {}
-    ex_u = nu.keys() - nv.keys() - {v}
-    ex_v = nv.keys() - nu.keys() - {u}
-    return ex_u, ex_v
+    if v in nu:
+        return nu.keys() - nv.keys() - {v}, nv.keys() - nu.keys() - {u}
+    return nu.keys() - nv.keys(), nv.keys() - nu.keys()
 
 
 def _connected_without_edge(adj, vset, u: int, v: int) -> bool:
@@ -53,10 +57,8 @@ def _absent_edge_delta(g: DynamicLabeledGraph, u: int, v: int, k: int, present: 
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) {present}")
     if k == 3:
-        # without the edge neither endpoint is in the other's neighbourhood
-        nu = g.adj.get(u) or {}
-        nv = g.adj.get(v) or {}
-        return len(nu.keys() - nv.keys()) + len(nv.keys() - nu.keys())
+        ex_u, ex_v = exclusive_thirds(g, u, v)
+        return len(ex_u) + len(ex_v)
     return len(new_vertex_sets(g, u, v, k))
 
 
@@ -77,23 +79,31 @@ def compute_d_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
     return _absent_edge_delta(g, u, v, k, "still present")
 
 
-def _approx_delta(
-    store: SketchStore, g: DynamicLabeledGraph, u: int, v: int, k: int, edge_present: bool
-) -> float:
-    if k != 3:
-        raise GraphError(f"sketch-based deltas exist for subgraph size 3 only, got {k}")
-    deg_u, deg_v = g.degree(u), g.degree(v)
-    if deg_u <= store.size and deg_v <= store.size:
-        # both sketches are underfull, hence lossless; count exactly
-        ex_u, ex_v = _exclusive_thirds(g, u, v)
-        return float(len(ex_u) + len(ex_v))
+def sketch_delta(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int):
+    """Sketch-W's size-3 delta of the edge (u, v), as ``(estimate, thirds)``.
+
+    When both sketches are underfull they hold both neighbourhoods in full,
+    so the delta is counted and ``thirds`` is ``exclusive_thirds``.
+    Otherwise the estimate is |N(u)| + |N(v)| - 2 |N(u) & N(v)|, less 2 for
+    the endpoints when ``g`` holds the edge, floored at 0, and ``thirds``
+    is None."""
+    size = store.size
+    if g.degree(u) <= size and g.degree(v) <= size:
+        thirds = exclusive_thirds(g, u, v)
+        return float(len(thirds[0]) + len(thirds[1])), thirds
     sk_u = store.sketch(u)
     sk_v = store.sketch(v)
     inter = intersection_estimate(sk_u, sk_v)
     est = sk_u.size_estimate() + sk_v.size_estimate() - 2.0 * inter
-    if edge_present:
+    if g.has_edge(u, v):
         est -= 2.0
-    return max(0.0, est)
+    return max(0.0, est), None
+
+
+def _sketch_oracle(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int, k: int) -> float:
+    if k != 3:
+        raise GraphError(f"sketch-based deltas exist for subgraph size 3 only, got {k}")
+    return sketch_delta(store, g, u, v)[0]
 
 
 def compute_w_approx(
@@ -105,7 +115,7 @@ def compute_w_approx(
     are already applied, hence the degree correction for the endpoints."""
     if not g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) not present; apply the insertion first")
-    return _approx_delta(store, g, u, v, k, edge_present=True)
+    return _sketch_oracle(store, g, u, v, k)
 
 
 def compute_d_approx(
@@ -114,4 +124,4 @@ def compute_d_approx(
     """Sketch-based estimate of the deletion delta (edge already removed)."""
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) still present; apply the deletion first")
-    return _approx_delta(store, g, u, v, k, edge_present=False)
+    return _sketch_oracle(store, g, u, v, k)

@@ -31,10 +31,6 @@ class SubgraphInstance(NamedTuple):
     vertex_labels: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
     def with_edge(self, u: int, v: int, label: int) -> "SubgraphInstance":
         """Copy of this instance with the (u, v) edge added."""
         i = self.vertices.index(u)

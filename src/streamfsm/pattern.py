@@ -128,18 +128,3 @@ def count_patterns(
                 keys.add(canonical_key(inst))
     return len(keys)
 
-
-class PatternUniverse(NamedTuple):
-    """The pattern space of one run: subgraph size, label universes, class count."""
-
-    k: int
-    num_vertex_labels: int
-    num_edge_labels: int
-    num_classes: int
-
-    @classmethod
-    def enumerate(
-        cls, k: int, num_vertex_labels: int, num_edge_labels: int, budget: int = 2_000_000
-    ) -> "PatternUniverse":
-        t_k = count_patterns(k, num_vertex_labels, num_edge_labels, budget)
-        return cls(k, num_vertex_labels, num_edge_labels, t_k)

@@ -99,7 +99,9 @@ def _member(code: int, shape: tuple) -> SubgraphInstance:
 
 
 class _SlotView(Sequence):
-    """Read-only sequence of a reservoir's members, each built on access."""
+    """Read-only sequence of a reservoir's members, each built on access:
+    the debug view that ``verify``, the engines' ``verify_invariants`` and
+    the benchmark read. The engines' event path never builds it."""
 
     __slots__ = ("_res",)
 

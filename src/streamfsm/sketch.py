@@ -62,13 +62,6 @@ class BottomKSketch:
     def is_full(self) -> bool:
         return len(self._plus) >= self.size
 
-    @property
-    def threshold(self) -> float:
-        """Largest retained value; only meaningful when the sketch is full."""
-        if not self._plus:
-            raise SketchError("empty sketch has no threshold")
-        return self._plus[-1]
-
     def smallest(self) -> list[float]:
         return list(self._plus)
 
@@ -150,36 +143,6 @@ def _check_compatible(a: BottomKSketch, b: BottomKSketch) -> None:
         raise SketchError("sketches built from different hashers")
 
 
-def _merged_smallest(a: BottomKSketch, b: BottomKSketch) -> list[float]:
-    """Up to ``size`` smallest distinct values of the union of two sketches."""
-    size = a.size
-    xs, ys = a._plus, b._plus
-    out: list[float] = []
-    i = j = 0
-    nx, ny = len(xs), len(ys)
-    while len(out) < size and (i < nx or j < ny):
-        if j >= ny or (i < nx and xs[i] <= ys[j]):
-            v = xs[i]
-            i += 1
-            if j < ny and ys[j] == v:
-                j += 1
-        else:
-            v = ys[j]
-            j += 1
-        out.append(v)
-    return out
-
-
-def union_estimate(a: BottomKSketch, b: BottomKSketch) -> float:
-    """Estimated cardinality of the union of the two summarized sets."""
-    _check_compatible(a, b)
-    merged = _merged_smallest(a, b)
-    if len(merged) < a.size:
-        # only possible when both sketches are underfull, i.e. lossless
-        return float(len(merged))
-    return (a.size - 1) / merged[-1]
-
-
 def intersection_estimate(a: BottomKSketch, b: BottomKSketch) -> float:
     """Intersection cardinality from the conditioned common sample.
 
@@ -187,7 +150,7 @@ def intersection_estimate(a: BottomKSketch, b: BottomKSketch) -> float:
     in both sketches, so the common ones are counted exactly and scaled by
     the threshold. Lossless when both sketches are underfull. Much tighter
     than inclusion-exclusion over three cardinality estimates (the two
-    sizes minus ``union_estimate``), whose error compounds.
+    sizes minus a bottom-k estimate of the union), whose error compounds.
     """
     _check_compatible(a, b)
     pa, pb = a._plus, b._plus

@@ -164,10 +164,12 @@ def drive_window(events: Iterable[StreamEvent], window: int) -> Iterator[StreamE
     pending: deque[tuple[int, int]] = deque()
     live: set[tuple[int, int]] = set()
     seq = 0
-    for ev in events:
+    for i, ev in enumerate(events):
         if ev.op != "+":
+            # events carry no line numbers, so the error names the event
             raise StreamFormatError(
-                "window driver requires an add-only stream", ev.seq + 1, 1
+                f"a sliding window needs an add-only stream; input event {i} "
+                "(counting from 0) is a deletion"
             )
         if len(pending) >= window:
             old = pending.popleft()

@@ -7,6 +7,7 @@ from streamfsm.exploration import (
     compute_d_exact,
     compute_w_approx,
     compute_w_exact,
+    exclusive_thirds,
     new_vertex_sets,
 )
 from streamfsm.graph import DynamicLabeledGraph, GraphError
@@ -115,6 +116,14 @@ def test_partition_identity(rng):
             ]
             assert len(cands) == len(modified) + len(new)
             assert set(new).isdisjoint(modified)
+            if k == 3:
+                # with the edge absent and again present: the new sets' third
+                # vertices, split by the endpoint each one touches
+                split = ({w for vs in new for w in vs if w in g.adj[u]},
+                         {w for vs in new for w in vs if w in g.adj[v]})
+                assert exclusive_thirds(g, u, v) == split
+                g.add_edge(u, g.labels[u], v, g.labels[v], 0)
+                assert exclusive_thirds(g, u, v) == split
 
 
 def _store_for(g, size=8, seed=1):

@@ -6,7 +6,6 @@ import pytest
 from streamfsm.graph import SubgraphInstance, is_connected
 from streamfsm.pattern import (
     PatternBudgetError,
-    PatternUniverse,
     canonical_key,
     count_patterns,
 )
@@ -150,11 +149,6 @@ def test_count_patterns_matches_isomorphism_classes():
 def test_count_patterns_budget():
     with pytest.raises(PatternBudgetError):
         count_patterns(5, 3, 2, budget=10_000)
-
-
-def test_universe_wrapper():
-    uni = PatternUniverse.enumerate(3, 2, 1)
-    assert uni.num_classes == 10
 
 
 def test_text_rendering_stable():

@@ -117,6 +117,13 @@ def test_drive_window_unit_window():
 def test_drive_window_rejects_deletions():
     with pytest.raises(StreamFormatError):
         list(drive_window([StreamEvent("-", 1, 2)], 2))
+    # events carry no line numbers: the error names the event, not a line
+    lines = ["# header", "", "+ 1 0 2 0 0", "# note", "- 1 2"]
+    with pytest.raises(StreamFormatError) as err:
+        list(drive_window(read_stream(lines), 2))
+    assert "input event 1 " in str(err.value)
+    assert "line" not in str(err.value)
+    assert (err.value.lineno, err.value.col) == (0, 0)
 
 
 @settings(max_examples=40, derandomize=True)
