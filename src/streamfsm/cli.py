@@ -117,21 +117,25 @@ def _build_config(args, mode: str, events) -> EngineConfig:
             raise _UsageError(
                 "cannot derive the sample size from an empty stream; pass --sample-size"
             )
-    return EngineConfig(
-        k=args.k,
-        tau=args.tau,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        mode=mode,
-        dynamic=args.dynamic or args.window is not None,
-        sample_size=args.sample_size,
-        sketch_size=args.sketch_size,
-        w_mode=args.w_mode,
-        seed=args.seed,
-        num_vertex_labels=num_v,
-        num_edge_labels=num_e,
-        missing_delete=args.missing_delete,
-    )
+    try:
+        return EngineConfig(
+            k=args.k,
+            tau=args.tau,
+            epsilon=args.epsilon,
+            delta=args.delta,
+            mode=mode,
+            dynamic=args.dynamic or args.window is not None,
+            sample_size=args.sample_size,
+            sketch_size=args.sketch_size,
+            w_mode=args.w_mode,
+            seed=args.seed,
+            num_vertex_labels=num_v,
+            num_edge_labels=num_e,
+            missing_delete=args.missing_delete,
+        )
+    except EngineError as exc:
+        # a rejected flag value is a usage error, not a stream error
+        raise _UsageError(str(exc)) from exc
 
 
 def _engine_m(engine) -> int:

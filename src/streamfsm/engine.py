@@ -237,10 +237,12 @@ def _triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple:
     return _TRIPLES[order, lu, lv, lw, e_uv, e_uw, e_vw]
 
 
-def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[int, tuple]:
-    """The (code, shape) columns of the member over {u, v, w}: the single
-    builder of size-3 sample members. The code is ``vertex_code`` of the
-    sorted ids, the shape the interned record."""
+def _triple_member(nu, nv, labels, u, lu, v, lv, le, w) -> tuple[int, tuple]:
+    """The (code, shape) columns of the member over {u, v, w}, with the edge
+    (u, v) labelled ``le`` and the edges to w read off the adjacency ``nu``
+    of u and ``nv`` of v: the single builder of size-3 sample members. The
+    code is ``vertex_code`` of the sorted ids, the shape the interned
+    record."""
     x = CODE_RADIX
     if u < v:
         if v < w:
@@ -255,7 +257,7 @@ def _triple_member(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple[int, tuple]:
         code = (v * x + w) * x + u
     else:
         code = (w * x + v) * x + u
-    return code, _triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw)
+    return code, _triple_shape(u, lu, v, lv, w, labels[w], le, nu.get(w), nv.get(w))
 
 
 class _EngineBase:
@@ -439,6 +441,18 @@ class _SamplingEngineBase(_EngineBase):
         self.reservoir = SubgraphReservoir(self.sample_size, self.graph.adj)
         self.rng = substream(config.seed, "sample")
         self.sketches: SketchStore | None = None  # sketch-W only
+        # the (code, shape) builder of an admitted member, called with the
+        # adjacency and labels of the edge's endpoints and the member's third
+        # vertex (k=3) or vertex set
+        if self.k == 3:
+            self._member = _triple_member
+        else:
+            g = self.graph
+
+            def member(nu, nv, labels, u, lu, v, lv, le, vs) -> tuple[int, tuple]:
+                return member_columns(g.induced_subgraph(vs))
+
+            self._member = member
 
     @property
     def population(self) -> int:
@@ -577,7 +591,8 @@ class ReservoirEngine(_SamplingEngineBase):
     def _admit(self, u: int, v: int, le: int, new) -> tuple[int, int]:
         g = self.graph
         res = self.reservoir
-        k3 = self.k == 3
+        member = self._member
+        place = res.place
         nu = g.adj[u]
         nv = g.adj[v]
         labels = g.labels
@@ -586,49 +601,28 @@ class ReservoirEngine(_SamplingEngineBase):
         rng = self.rng
         cap = res.capacity
         occ = len(res.codes)
-        created = admitted = 0
-        for first, group in ((True, new[0]), (False, new[1])):
-            created += len(group)
-            for x in group:
-                n = res.n_population + 1
-                res.n_population = n
-                debt = res.c1 + res.c2
-                if debt == 0:
-                    # reservoir step: below capacity admit, else replace a
-                    # random slot with probability M/N
-                    if occ < cap:
-                        replace = False
-                    elif rng.random() < cap / n:
-                        replace = True
-                    else:
-                        continue
-                elif rng.random() < res.c1 / debt:
-                    # pairing step: compensate a deletion that hit the sample
-                    res.c1 -= 1
-                    replace = False
-                else:
-                    res.c2 -= 1
+        admitted = 0
+        for x in chain(*new):
+            n = res.n_population + 1
+            res.n_population = n
+            debt = res.c1 + res.c2
+            if debt == 0:
+                # reservoir step: below capacity admit, else replace a
+                # random slot with probability M/N
+                if occ == cap and rng.random() >= cap / n:
                     continue
-                if k3:
-                    # x is adjacent to u alone in the first group, to v alone
-                    # in the second
-                    if first:
-                        code, shape = _triple_member(u, lu, v, lv, x, labels[x], le, nu[x], None)
-                    else:
-                        code, shape = _triple_member(u, lu, v, lv, x, labels[x], le, None, nv[x])
-                else:
-                    code, shape = member_columns(g.induced_subgraph(x))
-                if replace:
-                    res.replace_random_slot(code, shape, rng)
-                else:
-                    res.fill_free_slot(code, shape)
-                    occ += 1
-                admitted += 1
-        return created, admitted
-
-
-_FILL = 0
-_REPLACE = 1
+            elif rng.random() < res.c1 / debt:
+                # pairing step: compensate a deletion that hit the sample
+                res.pay_hit()
+            else:
+                res.c2 -= 1
+                continue
+            code, shape = member(nu, nv, labels, u, lu, v, lv, le, x)
+            place(code, shape, rng)
+            if occ < cap:
+                occ += 1
+            admitted += 1
+        return len(new[0]) + len(new[1]), admitted
 
 
 class SkipReservoirEngine(_SamplingEngineBase):
@@ -650,11 +644,12 @@ class SkipReservoirEngine(_SamplingEngineBase):
         # the previous admission and carried across events
         self.rs_pending = skip_rs(0, self.sample_size, self.rng)
 
-    def _consume_arrivals(self, count: int) -> list[int]:
+    def _consume_arrivals(self, count: int) -> int:
         """Run ``count`` new-subgraph arrivals through the skip machinery.
 
-        Returns the placement actions of the admitted arrivals, in order.
-        The pairing regime is re-entered whenever deletions left debt; its
+        Returns the number admitted, whose pairing admissions are paid for;
+        the reservoir's ``place`` puts each admission where it goes. The
+        pairing regime is re-entered whenever deletions left debt; its
         skip counter is drawn fresh per event because deletions in between
         would stale it, while the reservoir regime's pending counter
         stays valid across events (deletions and their compensating
@@ -663,8 +658,7 @@ class SkipReservoirEngine(_SamplingEngineBase):
         res = self.reservoir
         rng = self.rng
         cap = res.capacity
-        placements: list[int] = []
-        virtual_occ = res.occupancy
+        admitted = 0
         remaining = count
         while remaining > 0:
             debt = res.c1 + res.c2
@@ -678,11 +672,10 @@ class SkipReservoirEngine(_SamplingEngineBase):
                 z = skip_rp(res.c1, debt, rng)
                 if z + 1 <= remaining:
                     res.c2 -= z
-                    res.c1 -= 1
+                    res.pay_hit()
                     res.n_population += z + 1
                     remaining -= z + 1
-                    placements.append(_FILL)
-                    virtual_occ += 1
+                    admitted += 1
                 else:
                     res.c2 -= remaining
                     res.n_population += remaining
@@ -699,20 +692,13 @@ class SkipReservoirEngine(_SamplingEngineBase):
                     take = min(remaining, cap - 1 - res.n_population)
                     res.n_population += take
                     remaining -= take
-                    fills = min(take, cap - virtual_occ)
-                    placements.extend([_FILL] * fills)
-                    placements.extend([_REPLACE] * (take - fills))
-                    virtual_occ += fills
+                    admitted += take
                 else:
                     res.n_population += pending + 1
                     remaining -= pending + 1
-                    if virtual_occ < cap:
-                        placements.append(_FILL)
-                        virtual_occ += 1
-                    else:
-                        placements.append(_REPLACE)
+                    admitted += 1
                     self.rs_pending = skip_rs(res.n_population, cap, rng)
-        return placements
+        return admitted
 
     def _admit(self, u: int, v: int, le: int, new) -> tuple[int, int]:
         g = self.graph
@@ -721,35 +707,27 @@ class SkipReservoirEngine(_SamplingEngineBase):
             arrivals, new = self._sketch_count(u, v)
         else:
             arrivals = len(new[0]) + len(new[1])
-        placements = self._consume_arrivals(arrivals)
-        if not placements:
+        admissions = self._consume_arrivals(arrivals)
+        if not admissions:
             return arrivals, 0
         if new is None:
             new = exclusive_thirds(g, u, v)
         pool = [*new[0], *new[1]]
-        res = self.reservoir
         rng = self.rng
-        k3 = self.k == 3
+        member = self._member
+        place = self.reservoir.place
         nu = g.adj[u]
         nv = g.adj[v]
         labels = g.labels
         lu = labels[u]
         lv = labels[v]
-        admitted = 0
         # a sketch estimate above the real pool admits the whole pool and
-        # drops the surplus placements
-        for action, x in zip(placements, rng.sample(pool, min(len(placements), len(pool)))):
-            if k3:
-                # x is adjacent to exactly one of u, v
-                code, shape = _triple_member(u, lu, v, lv, x, labels[x], le, nu.get(x), nv.get(x))
-            else:
-                code, shape = member_columns(g.induced_subgraph(x))
-            if action == _FILL:
-                res.fill_free_slot(code, shape)
-            else:
-                res.replace_random_slot(code, shape, rng)
-            admitted += 1
-        return arrivals, admitted
+        # drops the surplus admissions
+        chosen = rng.sample(pool, min(admissions, len(pool)))
+        for x in chosen:
+            code, shape = member(nu, nv, labels, u, lu, v, lv, le, x)
+            place(code, shape, rng)
+        return arrivals, len(chosen)
 
 
 def build_engine(config: EngineConfig) -> _EngineBase:

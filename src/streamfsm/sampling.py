@@ -2,16 +2,17 @@
 
 The reservoir stores the sample and the counters that keep it uniform over
 the connected k-subgraph population: N, and the c1/c2 split of the
-deletions that later insertions must pair with. It places members; the
-admission rules (the classic reservoir step and the pairing step, by a coin
-per arrival or by skip counters) live in the engines. Per-class counts
-kept beside the slots make a frequency report cost O(pattern classes), not
-O(sample size). The sample is held in columns of ints and shared records, so
-a full sample adds no work to the garbage collector, and a placement is
-small-int work on the columns, a code -> slot map and the class-id counts.
-Nothing is kept per vertex: the members an edge event touches are among the
-event's candidate sets, read off the graph's adjacency, and the pair lookup
-probes the code -> slot map with their codes.
+deletions that later insertions must pair with. It places admitted members
+by one rule, a free slot while one is left, else a uniformly random one, and
+pays the pairing debt; the admission decisions (the classic reservoir step
+and the pairing step, by a coin per arrival or by skip counters) live in the
+engines. Per-class counts kept beside the slots make a frequency report cost
+O(pattern classes), not O(sample size). The sample is held in columns of
+ints and shared records, so a full sample adds no work to the garbage
+collector, and a placement is small-int work on the columns, a code -> slot
+map and the class-id counts. Nothing is kept per vertex: the members an edge
+event touches are among the event's candidate sets, read off the graph's
+adjacency, and the pair lookup probes the code -> slot map with their codes.
 """
 
 from __future__ import annotations
@@ -165,10 +166,6 @@ class SubgraphReservoir:
         self.index = adjacency
 
     @property
-    def occupancy(self) -> int:
-        return len(self.codes)
-
-    @property
     def slots(self) -> _SlotView:
         return _SlotView(self)
 
@@ -280,19 +277,25 @@ class SubgraphReservoir:
         counts[cid] = counts.get(cid, 0) + 1
         shapes[idx] = shape
 
-    # Placements of admitted arrivals; the engine has taken the admission
+    # Placement of an admitted arrival; the engine has taken the admission
     # decision (by a coin or a skip counter).
 
-    def fill_free_slot(self, code: int, shape: tuple) -> None:
+    def place(self, code: int, shape: tuple, rng: random.Random) -> None:
+        """Store an admitted member: in a free slot while one is left, else
+        in place of a uniformly random member. A pairing admission always
+        finds a free slot (see ``pay_hit``)."""
         if len(self.codes) >= self.capacity:
-            raise SampleInvariantError("no free slot to fill")
+            self._remove_at(rng.randrange(self.capacity))
         self._add(code, shape)
 
-    def replace_random_slot(self, code: int, shape: tuple, rng: random.Random) -> None:
-        if len(self.codes) != self.capacity:
-            raise SampleInvariantError("random replacement needs a full sample")
-        self._remove_at(rng.randrange(self.capacity))
-        self._add(code, shape)
+    def pay_hit(self) -> None:
+        """Pay off one deletion that hit the sample, for a pairing admission.
+
+        Each such deletion freed a slot, so occupancy plus c1 never exceeds
+        the capacity, and the admissions paid for find free slots."""
+        if len(self.codes) + self.c1 > self.capacity:
+            raise SampleInvariantError("occupancy plus hit debt exceeds capacity")
+        self.c1 -= 1
 
     def verify(self) -> None:
         """Check the position map, the per-slot class ids and the per-class
@@ -302,6 +305,8 @@ class SubgraphReservoir:
             raise SampleInvariantError("occupancy exceeds capacity")
         if self.c1 < 0 or self.c2 < 0 or self.n_population < 0:
             raise SampleInvariantError("negative counter")
+        if len(codes) + self.c1 > self.capacity:
+            raise SampleInvariantError("occupancy plus hit debt exceeds capacity")
         if len(codes) > self.n_population:
             raise SampleInvariantError("occupancy exceeds population")
         if len(self._pos) != len(codes) or len(self.shapes) != len(codes):

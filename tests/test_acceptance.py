@@ -99,7 +99,7 @@ def _uniformity_check(events, dynamic, runs):
         )
         for ev in events:
             eng.process_event(ev)
-        occupancies.add(eng.reservoir.occupancy)
+        occupancies.add(len(eng.reservoir.codes))
         for inst in eng.reservoir.slots:
             incl[inst.vertices] += 1
     population = brute_connected_sets(eng.graph, 3)

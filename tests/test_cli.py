@@ -142,3 +142,22 @@ def test_auto_sample_size_from_stream(tmp_path: Path):
     r = run_cli("run", str(stream), "--epsilon", "0.5", "--delta", "0.5", "--seed", "1")
     assert r.returncode == 0, r.stderr
     assert ",sr,3," in r.stdout
+
+
+@pytest.mark.parametrize("argv,stream,code", [
+    (("run", "--k", "1"), STREAM, 1),
+    (("run", "--tau", "2"), STREAM, 1),
+    (("run", "--epsilon", "0"), STREAM, 1),
+    (("run", "--sample-size", "0"), STREAM, 1),
+    (("run", "--mode", "osr", "--w-mode", "sketch", "--k", "4"), STREAM, 1),
+    (("compare", "--k", "1"), STREAM, 1),
+    (("run", "--sample-size", "5"), "+ 1 0 2 0 0\n- 1 2\n", 2),
+], ids=["k", "tau", "epsilon", "sample-size", "sketch-k", "compare-k", "deletion"])
+def test_config_errors_are_usage_errors(tmp_path: Path, argv, stream, code):
+    """A rejected flag value exits 1 as a usage error; an event the engine
+    rejects (a deletion without --dynamic) still exits 2."""
+    path = tmp_path / "s.txt"
+    path.write_text(stream)
+    r = run_cli(argv[0], str(path), *argv[1:])
+    assert r.returncode == code, r.stderr
+    assert r.stderr.startswith("error:" if code == 1 else "stream error:")

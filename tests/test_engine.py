@@ -246,7 +246,7 @@ def test_osr_sketch_mode_runs_dynamic():
     for ev in events:
         eng.process_event(ev)
         eng.verify_invariants()
-    assert eng.population >= eng.reservoir.occupancy
+    assert eng.population >= len(eng.reservoir.codes)
 
 
 def test_estimate_frequencies_sampling():
@@ -255,7 +255,7 @@ def test_estimate_frequencies_sampling():
     for i in range(6):
         e.process_event(add_event(0, 0, i + 1, 0, 0))
     est = e.estimate_frequencies()
-    assert est.occupancy == e.reservoir.occupancy
+    assert est.occupancy == len(e.reservoir.codes)
     assert sum(est.shares.values()) == pytest.approx(1.0)
     assert sum(est.counts.values()) == est.occupancy
 
@@ -401,7 +401,7 @@ def test_warm_size3_replay_builds_no_members(mode, w_mode, monkeypatch):
     assert built == []
     assert eng.reservoir.n_population > eng.sample_size  # replacements ran
     assert total.modified > 0 and total.destroyed > 0 and total.admitted > 0
-    assert eng.reservoir.c1 + eng.reservoir.c2 + eng.reservoir.occupancy > 0
+    assert eng.reservoir.c1 + eng.reservoir.c2 + len(eng.reservoir.codes) > 0
     SubgraphInstance((1, 2, 3), (0, 0, 0), ())
     assert built == ["new"]  # the counter itself works
 
@@ -492,7 +492,7 @@ def test_osr_exact_inclusion_is_uniform(k, mode, stream, runs):
                                         sample_size=20, seed=seed))
         for ev in events:
             eng.process_event(ev)
-        occupancies.add(eng.reservoir.occupancy)
+        occupancies.add(len(eng.reservoir.codes))
         for inst in eng.reservoir.slots:
             incl[inst.vertices] += 1
     # the brute-force oracle does not finish at k=4 on 800 vertices

@@ -33,7 +33,7 @@ def _inst(*vertices):
 
 
 def _place(res, inst):
-    res.fill_free_slot(*member_columns(inst))
+    res.place(*member_columns(inst), random.Random(0))
 
 
 # The admission rules live in ReservoirEngine: one coin per arrival. Each
@@ -62,7 +62,7 @@ def test_insert_below_capacity_always_admits():
         state = eng.rng.getstate()
         assert _offer_path(eng, i) == 1
         assert eng.rng.getstate() == state
-    assert eng.reservoir.occupancy == eng.population == 5
+    assert len(eng.reservoir.codes) == eng.population == 5
     eng.verify_invariants()
 
 
@@ -113,7 +113,7 @@ def test_rp_insert_zero_probability():
     eng = _indebted_engine(3, 1, 0, 3)
     assert _offer_path(eng, 1) == 0
     res = eng.reservoir
-    assert (res.c1, res.c2, res.occupancy) == (0, 2, 1)
+    assert (res.c1, res.c2, len(res.codes)) == (0, 2, 1)
 
 
 def test_rp_insert_certain():
@@ -121,7 +121,7 @@ def test_rp_insert_certain():
     eng = _indebted_engine(3, 1, 2, 0)
     assert _offer_path(eng, 1) == 1
     res = eng.reservoir
-    assert (res.c1, res.c2, res.occupancy) == (1, 0, 2)
+    assert (res.c1, res.c2, len(res.codes)) == (1, 0, 2)
 
 
 def test_rp_insert_even_coin():
@@ -133,7 +133,7 @@ def test_rp_insert_even_coin():
         eng = _indebted_engine(3, 1, 1, 1, seed)
         admitted = _offer_path(eng, 1)
         res = eng.reservoir
-        assert (res.c1, res.c2, res.occupancy) == ((0, 1, 2) if admitted else (1, 0, 1))
+        assert (res.c1, res.c2, len(res.codes)) == ((0, 1, 2) if admitted else (1, 0, 1))
         hits += admitted
     sigma = math.sqrt(0.25 / trials)
     assert abs(hits / trials - 0.5) <= 3 * sigma
@@ -141,6 +141,8 @@ def test_rp_insert_even_coin():
 
 def test_rp_insert_full_with_debt_is_invariant_violation():
     eng = _indebted_engine(1, 1, 1, 0)
+    with pytest.raises(SampleInvariantError):
+        eng.reservoir.verify()
     with pytest.raises(SampleInvariantError):
         _offer_path(eng, 1)  # admission certain, no free slot
 
@@ -158,7 +160,7 @@ def test_notify_deleted_cases():
         hit = 1 in sampled
         res = eng.reservoir
         assert (stats_.destroyed, res.c1, res.c2) == (2, int(hit), 2 - hit)
-        assert (res.n_population, res.occupancy) == (1, 1 - hit)
+        assert (res.n_population, len(res.codes)) == (1, 1 - hit)
         eng.verify_invariants()
         seen.add(hit)
     assert seen == {True, False}
@@ -169,10 +171,10 @@ def test_replace_modified_neutral():
     res.n_population = 1
     wedge = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (1, 2, 0)))
     _place(res, wedge)
-    snapshot = (res.occupancy, res.n_population, res.c1, res.c2)
+    snapshot = (len(res.codes), res.n_population, res.c1, res.c2)
     tri = wedge.with_edge(1, 3, 0)
     res.replace_modified(*member_columns(tri))
-    assert (res.occupancy, res.n_population, res.c1, res.c2) == snapshot
+    assert (len(res.codes), res.n_population, res.c1, res.c2) == snapshot
     assert res.slots[0] == tri
     res.verify()
     with pytest.raises(SampleInvariantError):
@@ -312,7 +314,7 @@ def test_counts_follow_placements():
     assert [CLASS_KEYS[shape[2]] for shape in res.shapes] == [canonical_key(tri)]
     res.remove_destroyed(vertex_code((1, 2, 3)))
     assert res.counts == {} and res.shapes == [] and res.codes == []
-    assert res.c1 == 1 and res.occupancy == 0
+    assert res.c1 == 1 and len(res.codes) == 0
     res.verify()
 
 
@@ -346,12 +348,14 @@ def test_verify_catches_stale_counts():
 
 
 def test_index_exact_after_random_ops(rng):
-    """After random placements and removals the position map checks out,
-    and over a complete graph, where every third vertex is a common
-    neighbour, the pair lookup finds every sampled member over the pair."""
+    """After random placements (into free slots, and over random members
+    once the sample is full) and removals the position map checks out, and
+    over a complete graph, where every third vertex is a common neighbour,
+    the pair lookup finds every sampled member over the pair."""
     n = 40
     g = _graph(*((a, b) for a in range(n) for b in range(a + 1, n)))
     res = SubgraphReservoir(8, g.adj)
+    regimes = set()
     for step in range(400):
         if res.codes and rng.random() < 0.35:
             res.remove_destroyed(rng.choice(res.codes))
@@ -360,17 +364,20 @@ def test_index_exact_after_random_ops(rng):
             if vertex_code(vs) in res.codes:
                 continue
             res.n_population += 1
-            code, shape = member_columns(_inst(*vs))
-            if res.occupancy < res.capacity:
-                res.fill_free_slot(code, shape)
-            else:
-                res.replace_random_slot(code, shape, rng)
+            if res.c1:
+                res.pay_hit()  # a pairing admission: a removal freed a slot
+            before = len(res.codes)
+            res.place(*member_columns(_inst(*vs)), rng)
+            assert len(res.codes) == min(before + 1, res.capacity)
+            assert vertex_code(vs) in res.codes
+            regimes.add(before == res.capacity)
         res.verify()
         u, v = rng.sample(range(n), 2)
         want = sorted((code, next(x for x in inst.vertices if x not in (u, v)))
                       for code, inst in zip(res.codes, res.slots)
                       if u in inst.vertices and v in inst.vertices)
         assert res.members_containing_pair(u, v) == want
+    assert regimes == {False, True}
 
 
 def test_vertex_codes_order_and_bound():
@@ -424,14 +431,16 @@ def test_size3_sample_is_invisible_to_the_collector():
     fill, later = triples[:50_000], triples[50_000:51_000]
     res = SubgraphReservoir(len(fill), {})
     res.n_population = len(fill)
+    # u-w edges labelled 0, no v-w edges, every vertex labelled 0
+    zeros = dict.fromkeys(range(3000), 0)
     before = _tracked()
     for u, v, w in fill:
-        res.fill_free_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None))
+        res.place(*_triple_member(zeros, {}, zeros, u, 0, v, 0, 0, w), rng)
     assert _tracked() - before < 20
     before = _tracked()
     for u, v, w in later:
         res.n_population += 1
-        res.replace_random_slot(*_triple_member(u, 0, v, 0, w, 0, 0, 0, None), rng)
+        res.place(*_triple_member(zeros, {}, zeros, u, 0, v, 0, 0, w), rng)
     assert _tracked() <= before
 
 
