@@ -13,7 +13,6 @@ from .engine import (
     snapshot_lines,
 )
 from .exploration import (
-    compute_d_approx,
     compute_d_exact,
     compute_w_approx,
     compute_w_exact,
@@ -82,7 +81,6 @@ __all__ = [
     "VertexHasher",
     "build_engine",
     "canonical_key",
-    "compute_d_approx",
     "compute_d_exact",
     "compute_w_approx",
     "compute_w_exact",

@@ -110,6 +110,12 @@ class _UsageError(Exception):
 
 
 def _build_config(args, mode: str, events) -> EngineConfig:
+    for flag in ("report_every", "verify_every"):
+        # n % -7 == 0 exactly when n % 7 == 0, so a negative interval would
+        # act as its absolute value
+        every = getattr(args, flag, 0)
+        if every < 0:
+            raise _UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {every}")
     num_v = num_e = None
     if args.sample_size is None and mode != "exact":
         num_v, num_e = _label_universe(events)

@@ -22,20 +22,22 @@ from math import ceil, log
 from typing import NamedTuple
 
 from .exploration import compute_d_exact, exclusive_thirds, new_vertex_sets, sketch_delta
-from .graph import DynamicLabeledGraph, SubgraphInstance, is_connected
+from .graph import DynamicLabeledGraph, is_connected
 from .pattern import PatternKey, canonical_key, count_patterns
 from .rng import substream, substream_seed
 from .sampling import (
     CLASS_KEYS,
     CLASS_TEXTS,
     CODE_RADIX,
+    SHAPES,
     SampleInvariantError,
     SubgraphReservoir,
-    class_id,
     keyed_counts,
-    member_columns,
+    pair_slot,
+    shape_key,
     skip_rp,
     skip_rs,
+    vertex_code,
 )
 from .sketch import SketchStore, VertexHasher
 from .stream import StreamEvent
@@ -73,7 +75,6 @@ class EngineConfig:
     seed: int = 0
     num_vertex_labels: int | None = None
     num_edge_labels: int | None = None
-    pattern_classes: int | None = None
     missing_delete: str = "error"  # error | skip
 
     def __post_init__(self) -> None:
@@ -106,14 +107,11 @@ class EngineConfig:
     def resolve_sample_size(self) -> int:
         if self.sample_size is not None:
             return self.sample_size
-        t_k = self.pattern_classes
-        if t_k is None:
-            if self.num_vertex_labels is None or self.num_edge_labels is None:
-                raise EngineError(
-                    "sample size underdetermined: set sample_size, pattern_classes, "
-                    "or both label universe sizes"
-                )
-            t_k = count_patterns(self.k, self.num_vertex_labels, self.num_edge_labels)
+        if self.num_vertex_labels is None or self.num_edge_labels is None:
+            raise EngineError(
+                "sample size underdetermined: set sample_size or both label universe sizes"
+            )
+        t_k = count_patterns(self.k, self.num_vertex_labels, self.num_edge_labels)
         return recommended_sample_size(t_k, self.epsilon, self.delta)
 
 
@@ -191,73 +189,36 @@ def snapshot_lines(estimate: FrequencyEstimate, report: FrequentReport) -> list[
     return lines
 
 
-# sorting order -> positions of u, v, w in the sorted id tuple
-_ORDER_POS = ((0, 1, 2), (0, 2, 1), (1, 2, 0), (1, 0, 2), (2, 0, 1), (2, 1, 0))
-
-
-class _TripleTable(dict):
-    """Raw size-3 signature -> shape record (vertex_labels, edges, class id),
-    interned on first lookup.
-
-    The raw signature is the order that sorts the ids (u, v, w), the three
-    vertex labels and the three edge labels (None for an absent edge); it
-    fixes the member's label and edge tuples and its pattern class. Every k=3
-    member shares its record with the other members of its signature, so the
-    sample stores one int code and one shared reference per member. At most
-    6 * L^3 * (E + 1)^3 entries for L vertex and E edge labels.
-    """
-
-    def __missing__(self, raw: tuple) -> tuple:
-        order, lu, lv, lw, e_uv, e_uw, e_vw = raw
-        pu, pv, pw = _ORDER_POS[order]
-        labs = [0, 0, 0]
-        labs[pu], labs[pv], labs[pw] = lu, lv, lw
-        edges = []
-        for a, b, lab in ((pu, pv, e_uv), (pu, pw, e_uw), (pv, pw, e_vw)):
-            if lab is not None:
-                edges.append((a, b, lab) if a < b else (b, a, lab))
-        edges.sort()
-        labs = tuple(labs)
-        edges = tuple(edges)
-        key = canonical_key(SubgraphInstance((0, 1, 2), labs, edges))
-        shared = self[raw] = (labs, edges, class_id(key))
-        return shared
-
-
-_TRIPLES = _TripleTable()
-
-
-def _triple_shape(u, lu, v, lv, w, lw, e_uv, e_uw, e_vw) -> tuple:
-    """The interned shape record of the member over {u, v, w}; a None edge
-    label means the edge is absent."""
-    if u < v:
-        order = 0 if v < w else 1 if u < w else 2
-    else:
-        order = 3 if u < w else 4 if v < w else 5
-    return _TRIPLES[order, lu, lv, lw, e_uv, e_uw, e_vw]
-
-
 def _triple_member(nu, nv, labels, u, lu, v, lv, le, w) -> tuple[int, tuple]:
     """The (code, shape) columns of the member over {u, v, w}, with the edge
-    (u, v) labelled ``le`` and the edges to w read off the adjacency ``nu``
-    of u and ``nv`` of v: the single builder of size-3 sample members. The
-    code is ``vertex_code`` of the sorted ids, the shape the interned
-    record."""
+    (u, v) labelled ``le`` (None: absent) and the edges to w read off the
+    adjacency ``nu`` of u and ``nv`` of v: the single builder of size-3
+    sample members. The code is ``vertex_code`` of the sorted ids, the shape
+    the ``SHAPES`` record of the key laid out in that order."""
     x = CODE_RADIX
+    lw = labels[w]
+    e_uw = nu.get(w)
+    e_vw = nv.get(w)
     if u < v:
         if v < w:
             code = (u * x + v) * x + w
+            key = (lu, lv, lw, le, e_uw, e_vw)
         elif u < w:
             code = (u * x + w) * x + v
+            key = (lu, lw, lv, e_uw, le, e_vw)
         else:
             code = (w * x + u) * x + v
+            key = (lw, lu, lv, e_uw, e_vw, le)
     elif u < w:
         code = (v * x + u) * x + w
+        key = (lv, lu, lw, le, e_vw, e_uw)
     elif v < w:
         code = (v * x + w) * x + u
+        key = (lv, lw, lu, e_vw, le, e_uw)
     else:
         code = (w * x + v) * x + u
-    return code, _triple_shape(u, lu, v, lv, w, labels[w], le, nu.get(w), nv.get(w))
+        key = (lw, lv, lu, e_vw, e_uw, le)
+    return code, SHAPES[key]
 
 
 class _EngineBase:
@@ -382,25 +343,30 @@ class ExactCountEngine(_EngineBase):
             common = nu.keys() & nv.keys()
             ex_u, ex_v = exclusive_thirds(g, u, v)
             # (class id, delta) in the order the counts move, generated lazily
-            # so that a hub's event holds no list of them; order 0 reads the
-            # class off the record of ids in sorted order, as the class does
-            # not depend on the ids
-            t = _TRIPLES
+            # so that a hub's event holds no list of them; the keys put u, v
+            # and w at positions 0, 1 and 2, as the class does not depend on
+            # the ids
+            t = SHAPES
             moves = chain(
-                ((t[0, lu, lv, labels[w], e, nu[w], nv[w]][2], d) for w in common for e, d in swap),
-                ((t[0, lu, lv, labels[w], le, nu[w], None][2], sign) for w in ex_u),
-                ((t[0, lu, lv, labels[w], le, None, nv[w]][2], sign) for w in ex_v),
+                ((t[lu, lv, labels[w], e, nu[w], nv[w]][2], d) for w in common for e, d in swap),
+                ((t[lu, lv, labels[w], le, nu[w], None][2], sign) for w in ex_u),
+                ((t[lu, lv, labels[w], le, None, nv[w]][2], sign) for w in ex_v),
             )
             modified = len(common)
             changed = len(ex_u) + len(ex_v)
         else:
+            k = self.k
+            adj = g.adj
+            labels = g.labels
+            lo, hi = (u, v) if u < v else (v, u)
             moves = []
             modified = changed = 0
-            for vset in g.candidate_vertex_sets(u, v, self.k):
-                absent = g.induced_subgraph(vset)
-                present = class_id(canonical_key(absent.with_edge(u, v, le)))
-                if is_connected(absent):
-                    absent = class_id(canonical_key(absent))
+            for vs in g.candidate_vertex_sets(u, v, k):
+                key = shape_key(adj, labels, vs)
+                slot = pair_slot(k, vs.index(lo), vs.index(hi))
+                absent = SHAPES[key][2]
+                present = SHAPES[key[:slot] + (le,) + key[slot + 1:]][2]
+                if absent is not None:
                     moves.extend((absent if e is None else present, d) for e, d in swap)
                     modified += 1
                 else:
@@ -441,16 +407,17 @@ class _SamplingEngineBase(_EngineBase):
         self.reservoir = SubgraphReservoir(self.sample_size, self.graph.adj)
         self.rng = substream(config.seed, "sample")
         self.sketches: SketchStore | None = None  # sketch-W only
-        # the (code, shape) builder of an admitted member, called with the
-        # adjacency and labels of the edge's endpoints and the member's third
-        # vertex (k=3) or vertex set
+        # the (code, shape) builder of a member as the event leaves it,
+        # admitted or updated, called with the adjacency and labels of the
+        # edge's endpoints, the edge's label (None once deleted) and the
+        # member's third vertex (k=3) or vertex set
         if self.k == 3:
             self._member = _triple_member
         else:
-            g = self.graph
+            adj = self.graph.adj
 
             def member(nu, nv, labels, u, lu, v, lv, le, vs) -> tuple[int, tuple]:
-                return member_columns(g.induced_subgraph(vs))
+                return vertex_code(vs), SHAPES[shape_key(adj, labels, vs)]
 
             self._member = member
 
@@ -553,31 +520,24 @@ class _SamplingEngineBase(_EngineBase):
         if not hits:
             return 0, 0
         g = self.graph
+        nu = g.adj[u]
+        nv = g.adj[v]
+        labels = g.labels
+        lu = labels[u]
+        lv = labels[v]
+        le = nu.get(v)
+        member = self._member
         modified = dropped = 0
-        if sets is None:
-            nu = g.adj[u]
-            nv = g.adj[v]
-            e_uv = nu.get(v)
-            labels = g.labels
-            lu = labels[u]
-            lv = labels[v]
-            for code, w in hits:
-                if w in nu and w in nv:
-                    shape = _triple_shape(u, lu, v, lv, w, labels[w], e_uv, nu[w], nv[w])
-                    res.replace_modified(code, shape)
-                    modified += 1
-                else:
-                    res.remove_destroyed(code)
-                    dropped += 1
-            return modified, dropped
-        for code, vs in hits:
-            post = g.induced_subgraph(vs)
-            if is_connected(post):
-                res.replace_modified(code, member_columns(post)[1])
-                modified += 1
-            else:
+        for code, x in hits:
+            # the member's shape after the event; a None class id means the
+            # change left it disconnected
+            shape = member(nu, nv, labels, u, lu, v, lv, le, x)[1]
+            if shape[2] is None:
                 res.remove_destroyed(code)
                 dropped += 1
+            else:
+                res.replace_modified(code, shape)
+                modified += 1
         return modified, dropped
 
 

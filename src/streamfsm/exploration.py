@@ -100,12 +100,6 @@ def sketch_delta(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int):
     return max(0.0, est), None
 
 
-def _sketch_oracle(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int, k: int) -> float:
-    if k != 3:
-        raise GraphError(f"sketch-based deltas exist for subgraph size 3 only, got {k}")
-    return sketch_delta(store, g, u, v)[0]
-
-
 def compute_w_approx(
     store: SketchStore, g: DynamicLabeledGraph, u: int, v: int, k: int
 ) -> float:
@@ -115,13 +109,6 @@ def compute_w_approx(
     are already applied, hence the degree correction for the endpoints."""
     if not g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) not present; apply the insertion first")
-    return _sketch_oracle(store, g, u, v, k)
-
-
-def compute_d_approx(
-    store: SketchStore, g: DynamicLabeledGraph, u: int, v: int, k: int
-) -> float:
-    """Sketch-based estimate of the deletion delta (edge already removed)."""
-    if g.has_edge(u, v):
-        raise GraphError(f"edge ({u}, {v}) still present; apply the deletion first")
-    return _sketch_oracle(store, g, u, v, k)
+    if k != 3:
+        raise GraphError(f"sketch-based deltas exist for subgraph size 3 only, got {k}")
+    return sketch_delta(store, g, u, v)[0]

@@ -31,14 +31,6 @@ class SubgraphInstance(NamedTuple):
     vertex_labels: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
 
-    def with_edge(self, u: int, v: int, label: int) -> "SubgraphInstance":
-        """Copy of this instance with the (u, v) edge added."""
-        i = self.vertices.index(u)
-        j = self.vertices.index(v)
-        if i > j:
-            i, j = j, i
-        return self._replace(edges=tuple(sorted(self.edges + ((i, j, label),))))
-
 
 def is_connected(instance: SubgraphInstance) -> bool:
     """True iff the instance's edge set connects all its vertices."""
@@ -113,12 +105,6 @@ class DynamicLabeledGraph:
             self.ensure_vertex(u, label_u)
             self.ensure_vertex(v, label_v)
 
-    def vertex_label(self, v: int) -> int:
-        try:
-            return self.labels[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex {v}") from None
-
     def has_edge(self, u: int, v: int) -> bool:
         nu = self.adj.get(u)
         return nu is not None and v in nu
@@ -130,12 +116,6 @@ class DynamicLabeledGraph:
     def degree(self, v: int) -> int:
         nv = self.adj.get(v)
         return 0 if nv is None else len(nv)
-
-    def neighbors(self, v: int) -> Iterable[int]:
-        nv = self.adj.get(v)
-        if nv is None:
-            raise GraphError(f"unknown vertex {v}")
-        return nv.keys()
 
     def add_edge(self, u: int, label_u: int, v: int, label_v: int, label_e: int) -> bool:
         """Insert edge (u, v); returns False when it already exists (no-op)."""

@@ -10,18 +10,24 @@ engines. Per-class counts kept beside the slots make a frequency report cost
 O(pattern classes), not O(sample size). The sample is held in columns of
 ints and shared records, so a full sample adds no work to the garbage
 collector, and a placement is small-int work on the columns, a code -> slot
-map and the class-id counts. Nothing is kept per vertex: the members an edge
-event touches are among the event's candidate sets, read off the graph's
-adjacency, and the pair lookup probes the code -> slot map with their codes.
+map and the class-id counts. The records come from one shape table for every
+k (``SHAPES``): a set's key is its vertex labels in ascending-id order, then
+the label of each position pair (i, j), i < j, in lexicographic order (None
+for an absent edge), and every member of one key shares one record, so only
+a key the table has not seen is canonicalised. Nothing is kept per vertex:
+the members an edge event touches are among the event's candidate sets, read
+off the graph's adjacency, and the pair lookup probes the code -> slot map
+with their codes.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from math import lgamma, log
+from itertools import combinations
+from math import isqrt, lgamma, log
 
-from .graph import VERTEX_ID_LIMIT, SubgraphInstance
+from .graph import VERTEX_ID_LIMIT, SubgraphInstance, is_connected
 from .pattern import PatternKey, canonical_key
 
 
@@ -87,11 +93,45 @@ def keyed_counts(counts: dict[int, int]) -> dict[PatternKey, int]:
     return {keys[cid]: c for cid, c in counts.items()}
 
 
-def member_columns(inst: SubgraphInstance) -> tuple[int, tuple]:
-    """The (code, shape) pair under which ``inst`` is stored, for members
-    built elsewhere; its shape record is not shared."""
-    shape = (inst.vertex_labels, inst.edges, class_id(canonical_key(inst)))
-    return vertex_code(inst.vertices), shape
+class _ShapeTable(dict):
+    """Shape key -> shared shape record, interned on first lookup.
+
+    The key of a k-set is the vertex labels in ascending-id order, then the
+    label of each position pair (i, j), i < j, in lexicographic order, None
+    for an absent edge. Its record is ``(vertex_labels, edges, class id)``,
+    ``edges`` the ``(i, j, label)`` triples of the present pairs; a
+    disconnected shape's class id is None. Every set of one key shares its
+    record, and the key fixes the size: k(k+1)/2 entries. A miss
+    canonicalises once; a hit is one dict lookup.
+    """
+
+    def __missing__(self, key: tuple) -> tuple:
+        k = (isqrt(8 * len(key) + 1) - 1) // 2
+        labels = key[:k]
+        edges = tuple((i, j, lab) for (i, j), lab in zip(combinations(range(k), 2), key[k:])
+                      if lab is not None)
+        inst = SubgraphInstance(tuple(range(k)), labels, edges)
+        cid = class_id(canonical_key(inst)) if is_connected(inst) else None
+        shared = self[key] = (labels, edges, cid)
+        return shared
+
+
+SHAPES = _ShapeTable()
+
+
+def shape_key(adj: dict[int, dict], labels: dict[int, int], vs: tuple[int, ...]) -> tuple:
+    """The ``SHAPES`` key of the ascending vertex set ``vs`` in the graph
+    given by its adjacency and labels."""
+    key = [labels[a] for a in vs]
+    for i, a in enumerate(vs, 1):
+        na = adj[a]
+        key.extend([na.get(b) for b in vs[i:]])
+    return tuple(key)
+
+
+def pair_slot(k: int, i: int, j: int) -> int:
+    """Index, in a k-set's shape key, of the label of positions i < j."""
+    return k + i * (2 * k - i - 1) // 2 + j - i - 1
 
 
 def _member(code: int, shape: tuple) -> SubgraphInstance:
@@ -128,8 +168,8 @@ class SubgraphReservoir:
       * ``codes``: each slot's identity, the ``vertex_code`` of its vertex
         set; slot order is insignificant and the slots stay compact;
       * ``shapes``: each slot's ``(vertex_labels, edges, class id)`` record,
-        aligned with ``codes``; a record is shared by every member of the
-        same shape when the caller interns it (size-3 members do);
+        aligned with ``codes``: the ``SHAPES`` record of its key, shared by
+        every member of the same shape at every k;
       * ``counts``: sampled members per class id (no zero entries), in the
         order the classes entered the sample; ``CLASS_KEYS`` maps an id
         back to its pattern key;
@@ -323,7 +363,9 @@ class SubgraphReservoir:
                 raise SampleInvariantError(f"code {code} is not an ascending vertex set")
             sizes.add(len(vs))
             cid = self.shapes[idx][2]
-            if not 0 <= cid < len(CLASS_KEYS) or CLASS_KEYS[cid] != canonical_key(inst):
+            if cid is None or not 0 <= cid < len(CLASS_KEYS) or (
+                CLASS_KEYS[cid] != canonical_key(inst)
+            ):
                 raise SampleInvariantError(f"stale class id for {vs}")
             counts[cid] = counts.get(cid, 0) + 1
         if len(sizes) > 1:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import heapq
 from bisect import bisect_left, insort
 
 
@@ -39,11 +38,14 @@ class BottomKSketch:
     """The ``size`` smallest hash values of a set, deletion-tolerant.
 
     The retained minima live in a sorted list (``size`` is small, so insort
-    is effectively free); everything larger overflows into a lazy-deletion
-    min-heap so deletions from the bottom part can promote the next value up.
+    is effectively free); everything larger overflows into one set, whose
+    minimum a deletion from the retained part promotes. Every overflow value
+    exceeds the retained maximum, so the promoted value is appended; finding
+    it costs O(overflow), and a deletion hits the retained part with
+    probability about size/len.
     """
 
-    __slots__ = ("size", "hasher", "_plus", "_plus_set", "_minus_heap", "_minus_live")
+    __slots__ = ("size", "hasher", "_plus", "_plus_set", "_overflow")
 
     def __init__(self, size: int, hasher: VertexHasher | None = None) -> None:
         if size < 2:
@@ -52,11 +54,10 @@ class BottomKSketch:
         self.hasher = hasher
         self._plus: list[float] = []
         self._plus_set: set[float] = set()  # mirrors _plus for O(1) membership
-        self._minus_heap: list[float] = []
-        self._minus_live: set[float] = set()
+        self._overflow: set[float] = set()
 
     def __len__(self) -> int:
-        return len(self._plus) + len(self._minus_live)
+        return len(self._plus) + len(self._overflow)
 
     @property
     def is_full(self) -> bool:
@@ -76,11 +77,9 @@ class BottomKSketch:
             self._plus_set.remove(demoted)
             insort(plus, value)
             self._plus_set.add(value)
-            heapq.heappush(self._minus_heap, demoted)
-            self._minus_live.add(demoted)
+            self._overflow.add(demoted)
         else:
-            heapq.heappush(self._minus_heap, value)
-            self._minus_live.add(value)
+            self._overflow.add(value)
 
     def delete(self, value: float) -> None:
         """Remove one hash value, promoting from the overflow if needed."""
@@ -89,25 +88,17 @@ class BottomKSketch:
         if idx < len(plus) and plus[idx] == value:
             plus.pop(idx)
             self._plus_set.remove(value)
-            promoted = self._pop_min_overflow()
-            if promoted is not None:
-                insort(plus, promoted)
+            overflow = self._overflow
+            if overflow:
+                promoted = min(overflow)
+                overflow.remove(promoted)
+                plus.append(promoted)
                 self._plus_set.add(promoted)
             return
-        if value in self._minus_live:
-            self._minus_live.remove(value)  # heap entry reaped lazily
+        if value in self._overflow:
+            self._overflow.remove(value)
             return
         raise SketchError(f"value {value!r} not present in sketch")
-
-    def _pop_min_overflow(self) -> float | None:
-        heap = self._minus_heap
-        live = self._minus_live
-        while heap:
-            v = heapq.heappop(heap)
-            if v in live:
-                live.remove(v)
-                return v
-        return None
 
     def size_estimate(self) -> float:
         """Estimated cardinality of the summarized set.
@@ -116,7 +107,7 @@ class BottomKSketch:
         a full sketch reports (size - 1) / threshold.
         """
         if len(self._plus) < self.size:
-            return float(len(self._plus) + len(self._minus_live))
+            return float(len(self._plus) + len(self._overflow))
         return (self.size - 1) / self._plus[-1]
 
     def check(self) -> None:
@@ -128,10 +119,10 @@ class BottomKSketch:
             raise SketchError("retained part not strictly sorted")
         if self._plus_set != set(plus):
             raise SketchError("membership mirror out of sync")
-        if self._minus_live:
+        if self._overflow:
             if len(plus) < self.size:
                 raise SketchError("overflow nonempty while sketch underfull")
-            lo = min(self._minus_live)
+            lo = min(self._overflow)
             if lo < plus[-1]:
                 raise SketchError("overflow value below threshold")
 

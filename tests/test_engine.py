@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from scipy import stats
 
+from streamfsm import engine as engine_module, sampling
 from streamfsm.engine import (
     EngineConfig,
     EngineError,
@@ -369,18 +370,38 @@ def test_engine_determinism():
     assert run() == run()
 
 
-@pytest.mark.parametrize("mode,w_mode", [("sr", "exact"), ("osr", "exact"), ("osr", "sketch")])
-def test_warm_size3_replay_builds_no_members(mode, w_mode, monkeypatch):
-    """Once the shape table holds a stream's signatures, a size-3 replay of
-    it builds no SubgraphInstance: admissions, random replacements, pair
-    lookups, modifications and drops work on codes, ids and shared records."""
-    events = generate_stream(60, 500, 2, 2, model="power-law", delete_fraction=0.3, seed=8)
-    config = EngineConfig(mode=mode, w_mode=w_mode, dynamic=True, sample_size=40,
+@pytest.mark.parametrize("k,mode,w_mode", [
+    pytest.param(3, "sr", "exact", id="sr-exact"),
+    pytest.param(3, "osr", "exact", id="osr-exact"),
+    pytest.param(3, "osr", "sketch", id="osr-sketch"),
+    pytest.param(4, "sr", "exact", id="k4-sr"),
+    pytest.param(4, "osr", "exact", id="k4-osr"),
+])
+def test_warm_size3_replay_builds_no_members(k, mode, w_mode, monkeypatch):
+    """Once the shape table holds a stream's keys, a replay of it at k=3 or
+    k=4 builds no SubgraphInstance and canonicalises nothing: admissions,
+    random replacements, pair lookups, modifications and drops work on
+    codes, ids and shared records."""
+    if k == 3:
+        events = generate_stream(60, 500, 2, 2, model="power-law", delete_fraction=0.3, seed=8)
+        size = 40
+    else:
+        events = generate_stream(30, 200, 2, 2, model="power-law", delete_fraction=0.3, seed=8)
+        size = 20
+    config = EngineConfig(k=k, mode=mode, w_mode=w_mode, dynamic=True, sample_size=size,
                           sketch_size=4, seed=8)
     warm = build_engine(config)
     for ev in events:
         warm.process_event(ev)
     built = []
+    canonical = sampling.canonical_key
+
+    def counting_canonical(inst):
+        built.append("canonical_key")
+        return canonical(inst)
+
+    monkeypatch.setattr(sampling, "canonical_key", counting_canonical)
+    monkeypatch.setattr(engine_module, "canonical_key", counting_canonical)
     new, make = SubgraphInstance.__new__, SubgraphInstance._make.__func__
 
     def counting_new(cls, *args, **kwargs):

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from streamfsm.exploration import (
-    compute_d_approx,
     compute_d_exact,
     compute_w_approx,
     compute_w_exact,
     exclusive_thirds,
     new_vertex_sets,
+    sketch_delta,
 )
 from streamfsm.graph import DynamicLabeledGraph, GraphError
 from streamfsm.sketch import SketchStore, VertexHasher
@@ -156,7 +156,7 @@ def test_w_approx_exact_in_lossless_regime(rng):
         assert compute_w_approx(store, g, u, v, 3) == float(w_true)
         g.delete_edge(u, v)
         store.on_edge_deleted(u, v)
-        assert compute_d_approx(store, g, u, v, 3) == float(w_true)
+        assert sketch_delta(store, g, u, v)[0] == float(w_true)
 
 
 def test_w_approx_requires_present_edge():
@@ -205,7 +205,3 @@ def test_approx_deltas_reject_k4(rng):
         store.on_edge_added(u, v)
     with pytest.raises(GraphError):
         compute_w_approx(store, g, u, v, 4)
-    g.delete_edge(u, v)
-    store.on_edge_deleted(u, v)
-    with pytest.raises(GraphError):
-        compute_d_approx(store, g, u, v, 4)

@@ -2,21 +2,24 @@ import gc
 import math
 import random
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 from scipy import stats
 
 from streamfsm.engine import EngineConfig, _triple_member, build_engine
-from streamfsm.graph import DynamicLabeledGraph, SubgraphInstance
+from streamfsm.graph import DynamicLabeledGraph, SubgraphInstance, is_connected
 from streamfsm.stream import generate_stream
 from streamfsm.pattern import PatternKey, canonical_key
 from streamfsm.sampling import (
     CLASS_KEYS,
+    SHAPES,
     SampleInvariantError,
     SubgraphReservoir,
     class_id,
     keyed_counts,
-    member_columns,
+    pair_slot,
+    shape_key,
     skip_rp,
     skip_rp_sequential,
     skip_rs,
@@ -24,7 +27,7 @@ from streamfsm.sampling import (
     vertex_code,
 )
 
-from conftest import add_event, del_event, pmf_skip_rp, pmf_skip_rs
+from conftest import add_event, del_event, pmf_skip_rp, pmf_skip_rs, random_labeled_graph
 
 
 def _inst(*vertices):
@@ -32,8 +35,17 @@ def _inst(*vertices):
     return SubgraphInstance(vs, (0,) * len(vs), tuple((i, i + 1, 0) for i in range(len(vs) - 1)))
 
 
+def _columns(inst):
+    """The (code, shape) columns of ``inst``: its code and its record in the
+    shared shape table."""
+    pair_labels = {(i, j): lab for i, j, lab in inst.edges}
+    pairs = combinations(range(len(inst.vertices)), 2)
+    key = inst.vertex_labels + tuple(pair_labels.get(p) for p in pairs)
+    return vertex_code(inst.vertices), SHAPES[key]
+
+
 def _place(res, inst):
-    res.place(*member_columns(inst), random.Random(0))
+    res.place(*_columns(inst), random.Random(0))
 
 
 # The admission rules live in ReservoirEngine: one coin per arrival. Each
@@ -172,13 +184,42 @@ def test_replace_modified_neutral():
     wedge = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (1, 2, 0)))
     _place(res, wedge)
     snapshot = (len(res.codes), res.n_population, res.c1, res.c2)
-    tri = wedge.with_edge(1, 3, 0)
-    res.replace_modified(*member_columns(tri))
+    tri = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (0, 2, 0), (1, 2, 0)))
+    res.replace_modified(*_columns(tri))
     assert (len(res.codes), res.n_population, res.c1, res.c2) == snapshot
     assert res.slots[0] == tri
     res.verify()
     with pytest.raises(SampleInvariantError):
-        res.replace_modified(*member_columns(_inst(7, 8, 9)))
+        res.replace_modified(*_columns(_inst(7, 8, 9)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_shape_records_match_the_oracle(k):
+    """Every k-set's shared record, keyed off the adjacency, carries the
+    induced instance's labels and edges and its class id, None when the set
+    is disconnected; at k=3 the member builder gives the same record from
+    each of the six id orders of u, v and w."""
+    rng = random.Random(40 + k)
+    for _ in range(25):
+        g = random_labeled_graph(rng, n=7, m=rng.randrange(2, 16), num_labels=3,
+                                 num_edge_labels=2)
+        adj, labels = g.adj, g.labels
+        for vs in combinations(sorted(labels), k):
+            key = shape_key(adj, labels, vs)
+            rec = SHAPES[key]
+            inst = g.induced_subgraph(vs)
+            assert rec[:2] == (inst.vertex_labels, inst.edges)
+            if is_connected(inst):
+                assert CLASS_KEYS[rec[2]] == canonical_key(inst)
+            else:
+                assert rec[2] is None
+            for i, j in combinations(range(k), 2):
+                assert key[pair_slot(k, i, j)] == g.edge_label(vs[i], vs[j])
+            if k == 3:
+                for u, v, w in permutations(vs):
+                    got = _triple_member(adj[u], adj[v], labels, u, labels[u], v, labels[v],
+                                         adj[u].get(v), w)
+                    assert got[0] == vertex_code(vs) and got[1] is rec
 
 
 def _pairs(*vertex_sets):
@@ -305,11 +346,11 @@ def test_pair_lookup_matches_slot_scan(k, mode, w_mode, monkeypatch):
 def test_counts_follow_placements():
     res = SubgraphReservoir(2, {})
     wedge = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (1, 2, 0)))
-    tri = wedge.with_edge(1, 3, 0)
+    tri = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (0, 2, 0), (1, 2, 0)))
     res.n_population = 1
     _place(res, wedge)
     assert res.counts == {class_id(canonical_key(wedge)): 1}
-    res.replace_modified(*member_columns(tri))
+    res.replace_modified(*_columns(tri))
     assert keyed_counts(res.counts) == {canonical_key(tri): 1}
     assert [CLASS_KEYS[shape[2]] for shape in res.shapes] == [canonical_key(tri)]
     res.remove_destroyed(vertex_code((1, 2, 3)))
@@ -367,7 +408,7 @@ def test_index_exact_after_random_ops(rng):
             if res.c1:
                 res.pay_hit()  # a pairing admission: a removal freed a slot
             before = len(res.codes)
-            res.place(*member_columns(_inst(*vs)), rng)
+            res.place(*_columns(_inst(*vs)), rng)
             assert len(res.codes) == min(before + 1, res.capacity)
             assert vertex_code(vs) in res.codes
             regimes.add(before == res.capacity)

@@ -22,7 +22,7 @@ def _sketch_with(values, size=2):
 def test_insert_routing_worked_example():
     sk = _sketch_with([0.7, 0.3, 0.5], size=2)
     assert sk.smallest() == [0.3, 0.5]
-    assert sorted(sk._minus_live) == [0.7]
+    assert sorted(sk._overflow) == [0.7]
 
 
 def test_first_insert_lands_in_retained_part():
@@ -48,7 +48,7 @@ def test_delete_from_retained_promotes():
     sk = _sketch_with([0.3, 0.5, 0.7], size=2)
     sk.delete(0.3)
     assert sk.smallest() == [0.5, 0.7]
-    assert not sk._minus_live
+    assert not sk._overflow
 
 
 def test_delete_only_element():
@@ -92,7 +92,7 @@ def test_interleaving_equals_rebuild(touches, pyrng):
     for x in sorted(live):
         rebuilt.insert(hasher.value(x))
     assert sk.smallest() == rebuilt.smallest()
-    assert sorted(sk._minus_live) == sorted(rebuilt._minus_live)
+    assert sk._overflow == rebuilt._overflow
     assert len(sk) == len(live)
 
 
