@@ -90,9 +90,12 @@ class EngineConfig:
             raise EngineError(f"unknown w_mode {self.w_mode!r}")
         if self.sketch_size < 2:
             raise EngineError(f"sketch size must be >= 2, got {self.sketch_size}")
-        if self.w_mode == "sketch" and self.k != 3:
-            # the sketch estimate of the event delta exists for size 3 only
-            raise EngineError(f"w_mode='sketch' needs k=3, got k={self.k}")
+        if self.w_mode == "sketch" and (self.mode != "osr" or self.k != 3):
+            # only osr keeps sketches, and their estimate of the event delta
+            # exists for size 3 only
+            raise EngineError(
+                f"w_mode='sketch' needs mode='osr' and k=3, got mode={self.mode!r}, k={self.k}"
+            )
         if self.missing_delete not in ("error", "skip"):
             raise EngineError(f"unknown missing_delete policy {self.missing_delete!r}")
         if self.sample_size is not None and self.sample_size < 1:
@@ -430,8 +433,11 @@ class _SamplingEngineBase(_EngineBase):
         return res.counts, res.n_population, len(res.codes), res.c1, res.c2
 
     def verify_invariants(self) -> None:
-        """Debug gate: reservoir bookkeeping plus member soundness."""
+        """Debug gate: reservoir bookkeeping, member soundness and, in
+        sketch-W, each sketch against its vertex's neighbourhood."""
         self.reservoir.verify()
+        if self.sketches is not None:
+            self.sketches.verify()
         for inst in self.reservoir.slots:
             if self.graph.induced_subgraph(inst.vertices) != inst:
                 raise SampleInvariantError(
@@ -599,7 +605,7 @@ class SkipReservoirEngine(_SamplingEngineBase):
         self.w_mode = config.w_mode
         if self.w_mode == "sketch":
             hasher = VertexHasher(substream_seed(config.seed, "hash"))
-            self.sketches = SketchStore(config.sketch_size, hasher)
+            self.sketches = SketchStore(config.sketch_size, hasher, self.graph.adj)
         # arrivals to reject before the next reservoir admission; drawn at
         # the previous admission and carried across events
         self.rs_pending = skip_rs(0, self.sample_size, self.rng)

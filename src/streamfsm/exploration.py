@@ -82,8 +82,10 @@ def compute_d_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
 def sketch_delta(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int):
     """Sketch-W's size-3 delta of the edge (u, v), as ``(estimate, thirds)``.
 
-    When both sketches are underfull they hold both neighbourhoods in full,
-    so the delta is counted and ``thirds`` is ``exclusive_thirds``.
+    When neither endpoint's degree exceeds the sketch size, both sketches
+    hold their whole neighbourhoods (at degree == size a sketch is full and
+    still holds all of it), so the delta is counted and ``thirds`` is
+    ``exclusive_thirds``.
     Otherwise the estimate is |N(u)| + |N(v)| - 2 |N(u) & N(v)|, less 2 for
     the endpoints when ``g`` holds the edge, floored at 0, and ``thirds``
     is None."""

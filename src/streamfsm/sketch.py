@@ -1,9 +1,14 @@
-"""Per-vertex bottom-k neighborhood sketches with deletion support."""
+"""Per-vertex bottom-k neighborhood sketches with deletion support.
+
+A sketch keeps only the ``size`` smallest hashes of a neighbourhood; the
+one full copy of each neighbourhood is the graph's adjacency, from which a
+deletion refills its sketch."""
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left, insort
+from collections.abc import Iterable
 
 
 class SketchError(ValueError):
@@ -37,15 +42,15 @@ class VertexHasher:
 class BottomKSketch:
     """The ``size`` smallest hash values of a set, deletion-tolerant.
 
-    The retained minima live in a sorted list (``size`` is small, so insort
-    is effectively free); everything larger overflows into one set, whose
-    minimum a deletion from the retained part promotes. Every overflow value
-    exceeds the retained maximum, so the promoted value is appended; finding
-    it costs O(overflow), and a deletion hits the retained part with
-    probability about size/len.
+    Only the retained minima are stored: a sorted list (``size`` is small,
+    so insort is effectively free) and a set mirroring it for O(1)
+    membership. The set itself is kept by its owner, so a full sketch drops
+    every value above its threshold, and a deletion from a full sketch's
+    retained part refills it from the remaining values the caller passes:
+    the smallest of them above the old threshold is appended.
     """
 
-    __slots__ = ("size", "hasher", "_plus", "_plus_set", "_overflow")
+    __slots__ = ("size", "hasher", "_plus", "_plus_set")
 
     def __init__(self, size: int, hasher: VertexHasher | None = None) -> None:
         if size < 2:
@@ -54,10 +59,6 @@ class BottomKSketch:
         self.hasher = hasher
         self._plus: list[float] = []
         self._plus_set: set[float] = set()  # mirrors _plus for O(1) membership
-        self._overflow: set[float] = set()
-
-    def __len__(self) -> int:
-        return len(self._plus) + len(self._overflow)
 
     @property
     def is_full(self) -> bool:
@@ -73,31 +74,29 @@ class BottomKSketch:
             insort(plus, value)
             self._plus_set.add(value)
         elif value < plus[-1]:
-            demoted = plus.pop()
-            self._plus_set.remove(demoted)
+            self._plus_set.remove(plus.pop())
             insort(plus, value)
             self._plus_set.add(value)
-            self._overflow.add(demoted)
-        else:
-            self._overflow.add(value)
 
-    def delete(self, value: float) -> None:
-        """Remove one hash value, promoting from the overflow if needed."""
+    def delete(self, value: float, rest: Iterable[float]) -> None:
+        """Remove one hash value; ``rest`` iterates the values the set holds
+        without it, and is read only when a full sketch loses a retained
+        value and must promote the smallest one above its old threshold."""
         plus = self._plus
         idx = bisect_left(plus, value)
         if idx < len(plus) and plus[idx] == value:
+            tau = plus[-1]
+            full = len(plus) == self.size
             plus.pop(idx)
             self._plus_set.remove(value)
-            overflow = self._overflow
-            if overflow:
-                promoted = min(overflow)
-                overflow.remove(promoted)
-                plus.append(promoted)
-                self._plus_set.add(promoted)
+            if full:
+                promoted = min([h for h in rest if h > tau], default=None)
+                if promoted is not None:
+                    plus.append(promoted)
+                    self._plus_set.add(promoted)
             return
-        if value in self._overflow:
-            self._overflow.remove(value)
-            return
+        if idx == len(plus) == self.size:
+            return  # above a full sketch's threshold: never retained
         raise SketchError(f"value {value!r} not present in sketch")
 
     def size_estimate(self) -> float:
@@ -107,7 +106,7 @@ class BottomKSketch:
         a full sketch reports (size - 1) / threshold.
         """
         if len(self._plus) < self.size:
-            return float(len(self._plus) + len(self._overflow))
+            return float(len(self._plus))
         return (self.size - 1) / self._plus[-1]
 
     def check(self) -> None:
@@ -119,12 +118,6 @@ class BottomKSketch:
             raise SketchError("retained part not strictly sorted")
         if self._plus_set != set(plus):
             raise SketchError("membership mirror out of sync")
-        if self._overflow:
-            if len(plus) < self.size:
-                raise SketchError("overflow nonempty while sketch underfull")
-            lo = min(self._overflow)
-            if lo < plus[-1]:
-                raise SketchError("overflow value below threshold")
 
 
 def _check_compatible(a: BottomKSketch, b: BottomKSketch) -> None:
@@ -164,13 +157,18 @@ def intersection_estimate(a: BottomKSketch, b: BottomKSketch) -> float:
 
 
 class SketchStore:
-    """One bottom-k sketch per vertex, tracking immediate neighborhoods."""
+    """One bottom-k sketch per vertex, tracking immediate neighborhoods.
 
-    __slots__ = ("size", "hasher", "_sketches")
+    ``adjacency`` is the graph's vertex -> neighbour map, read after an
+    edge's deletion to refill its endpoints' sketches. Every neighbour was
+    hashed when its edge arrived, so the hasher's cache holds its value."""
 
-    def __init__(self, size: int, hasher: VertexHasher) -> None:
+    __slots__ = ("size", "hasher", "_adj", "_sketches")
+
+    def __init__(self, size: int, hasher: VertexHasher, adjacency) -> None:
         self.size = size
         self.hasher = hasher
+        self._adj = adjacency
         self._sketches: dict[int, BottomKSketch] = {}
 
     def sketch(self, vertex: int) -> BottomKSketch:
@@ -186,6 +184,25 @@ class SketchStore:
         self.sketch(v).insert(value(u))
 
     def on_edge_deleted(self, u: int, v: int) -> None:
-        value = self.hasher.value
-        self.sketch(u).delete(value(v))
-        self.sketch(v).delete(value(u))
+        """Drop (u, v) from both sketches; the adjacency no longer holds it."""
+        cached = self.hasher._cache.__getitem__
+        adj = self._adj
+        self.sketch(u).delete(cached(v), map(cached, adj[u]))
+        self.sketch(v).delete(cached(u), map(cached, adj[v]))
+
+    def verify(self) -> None:
+        """Debug gate: every sketch passes ``check`` and retains exactly the
+        ``size`` smallest hashes of its vertex's neighbourhood."""
+        cached = self.hasher._cache.__getitem__
+        sketches = self._sketches
+        for u, nbrs in self._adj.items():
+            sk = sketches.get(u)
+            if sk is None:
+                retained = []
+            else:
+                sk.check()
+                retained = sk._plus
+            if retained != sorted(map(cached, nbrs))[: self.size]:
+                raise SketchError(
+                    f"sketch of vertex {u} does not hold its neighbourhood's minima"
+                )

@@ -348,7 +348,7 @@ def test_criterion_08_sketch_quality():
 
     events = generate_stream(400, 20_000, 1, 1, model="uniform", seed=0)
     g = build_engine(EngineConfig(k=3, mode="exact")).graph
-    store = SketchStore(64, VertexHasher(7))
+    store = SketchStore(64, VertexHasher(7), g.adj)
     for ev in events:
         g.add_edge(ev.u, ev.label_u, ev.v, ev.label_v, ev.label_e)
         store.on_edge_added(ev.u, ev.v)

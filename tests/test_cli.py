@@ -150,11 +150,12 @@ def test_auto_sample_size_from_stream(tmp_path: Path):
     (("run", "--epsilon", "0"), STREAM, 1),
     (("run", "--sample-size", "0"), STREAM, 1),
     (("run", "--mode", "osr", "--w-mode", "sketch", "--k", "4"), STREAM, 1),
+    (("run", "--mode", "sr", "--w-mode", "sketch"), STREAM, 1),
     (("compare", "--k", "1"), STREAM, 1),
     (("run", "--sample-size", "5"), "+ 1 0 2 0 0\n- 1 2\n", 2),
     (("run", "--sample-size", "10", "--report-every", "-7"), STREAM, 1),
     (("compare", "--verify-every", "-1"), STREAM, 1),
-], ids=["k", "tau", "epsilon", "sample-size", "sketch-k", "compare-k", "deletion",
+], ids=["k", "tau", "epsilon", "sample-size", "sketch-k", "sketch-sr", "compare-k", "deletion",
         "report-every", "verify-every"])
 def test_config_errors_are_usage_errors(tmp_path: Path, argv, stream, code):
     """A rejected flag value exits 1 as a usage error; an event the engine

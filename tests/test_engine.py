@@ -46,6 +46,14 @@ def test_config_validation():
     with pytest.raises(EngineError):
         EngineConfig(k=2, mode="osr", w_mode="sketch")
     EngineConfig(k=4, mode="osr", w_mode="exact")
+    # only osr keeps sketches; no other mode may ask for sketch-W
+    with pytest.raises(EngineError, match="mode='osr'"):
+        EngineConfig(mode="sr", w_mode="sketch", sample_size=10)
+    with pytest.raises(EngineError, match="mode='osr'"):
+        EngineConfig(mode="exact", w_mode="sketch")
+    with pytest.raises(EngineError, match="mode='osr'"):
+        EngineConfig(k=4, mode="exact", w_mode="sketch")
+    EngineConfig(mode="osr", w_mode="sketch", sample_size=10)
     cfg = EngineConfig(sample_size=10)
     assert cfg.resolve_sample_size() == 10
     cfg2 = EngineConfig(num_vertex_labels=1, num_edge_labels=1, epsilon=0.1, delta=0.1)
@@ -238,15 +246,22 @@ def test_sampling_engines_generic_k4(mode):
 
 
 def test_osr_sketch_mode_runs_dynamic():
+    """verify_invariants checks every sketch against its neighbourhood
+    after each event, including deletions at hubs above the sketch size,
+    which refill a full sketch from the adjacency."""
     events = generate_stream(40, 200, 2, 1, model="uniform", delete_fraction=0.2, seed=7)
     eng = build_engine(
         EngineConfig(
             mode="osr", dynamic=True, sample_size=10, seed=3, w_mode="sketch", sketch_size=8
         )
     )
+    hub_deletions = 0
     for ev in events:
+        if ev.op == "-":
+            hub_deletions += max(eng.graph.degree(ev.u), eng.graph.degree(ev.v)) > 8
         eng.process_event(ev)
         eng.verify_invariants()
+    assert hub_deletions > 0
     assert eng.population >= len(eng.reservoir.codes)
 
 

@@ -127,7 +127,7 @@ def test_partition_identity(rng):
 
 
 def _store_for(g, size=8, seed=1):
-    store = SketchStore(size, VertexHasher(seed))
+    store = SketchStore(size, VertexHasher(seed), g.adj)
     for u in g.adj:
         for v in g.adj[u]:
             if u < v:
@@ -172,7 +172,7 @@ def test_w_approx_quality_medium_graph(rng):
 
     events = generate_stream(150, 3000, 1, 1, model="uniform", seed=4)
     g = DynamicLabeledGraph()
-    store = SketchStore(16, VertexHasher(9))
+    store = SketchStore(16, VertexHasher(9), g.adj)
     for ev in events:
         g.add_edge(ev.u, ev.label_u, ev.v, ev.label_v, ev.label_e)
         store.on_edge_added(ev.u, ev.v)

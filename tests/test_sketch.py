@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamfsm.graph import DynamicLabeledGraph
 from streamfsm.sketch import (
     BottomKSketch,
     SketchError,
@@ -22,7 +23,8 @@ def _sketch_with(values, size=2):
 def test_insert_routing_worked_example():
     sk = _sketch_with([0.7, 0.3, 0.5], size=2)
     assert sk.smallest() == [0.3, 0.5]
-    assert sorted(sk._overflow) == [0.7]
+    # the demoted 0.7 is dropped, not kept
+    assert sk._plus_set == {0.3, 0.5}
 
 
 def test_first_insert_lands_in_retained_part():
@@ -38,30 +40,45 @@ def test_insert_above_threshold_leaves_retained_part():
     assert sk.size_estimate() == pytest.approx(1 / 0.4)
 
 
-def test_delete_from_overflow_keeps_sketch():
+def test_delete_above_full_threshold_changes_nothing():
     sk = _sketch_with([0.3, 0.5, 0.7], size=2)
-    sk.delete(0.7)
+    sk.delete(0.7, [0.3, 0.5])
     assert sk.smallest() == [0.3, 0.5]
+    sk.check()
 
 
 def test_delete_from_retained_promotes():
     sk = _sketch_with([0.3, 0.5, 0.7], size=2)
-    sk.delete(0.3)
+    sk.delete(0.3, [0.5, 0.7])
     assert sk.smallest() == [0.5, 0.7]
-    assert not sk._overflow
+    sk.check()
+
+
+def test_delete_from_full_sketch_of_exactly_size_values_promotes_nothing():
+    sk = _sketch_with([0.3, 0.5], size=2)
+    sk.delete(0.3, [0.5])
+    assert sk.smallest() == [0.5]
+    assert sk.size_estimate() == 1.0
 
 
 def test_delete_only_element():
     sk = _sketch_with([0.4], size=2)
-    sk.delete(0.4)
-    assert len(sk) == 0
+    sk.delete(0.4, [])
+    assert sk.smallest() == []
     assert sk.size_estimate() == 0.0
 
 
 def test_delete_absent_raises():
     sk = _sketch_with([0.4], size=2)
     with pytest.raises(SketchError):
-        sk.delete(0.9)
+        sk.delete(0.9, [0.4])
+
+
+def test_delete_unretained_value_below_threshold_raises():
+    sk = _sketch_with([0.3, 0.5], size=2)
+    with pytest.raises(SketchError):
+        sk.delete(0.4, [0.3, 0.5])
+    assert sk.smallest() == [0.3, 0.5]
 
 
 def test_size_estimate_regimes():
@@ -82,8 +99,8 @@ def test_interleaving_equals_rebuild(touches, pyrng):
     live = set()
     for x in touches:
         if x in live and pyrng.random() < 0.5:
-            sk.delete(hasher.value(x))
             live.remove(x)
+            sk.delete(hasher.value(x), [hasher.value(y) for y in live])
         elif x not in live:
             sk.insert(hasher.value(x))
             live.add(x)
@@ -92,8 +109,7 @@ def test_interleaving_equals_rebuild(touches, pyrng):
     for x in sorted(live):
         rebuilt.insert(hasher.value(x))
     assert sk.smallest() == rebuilt.smallest()
-    assert sk._overflow == rebuilt._overflow
-    assert len(sk) == len(live)
+    assert sk.smallest() == sorted(hasher.value(x) for x in live)[:5]
 
 
 def test_union_and_intersection_trivials():
@@ -163,11 +179,44 @@ def test_size_estimate_error_shrinks_with_size():
 
 def test_store_tracks_neighborhoods():
     hasher = VertexHasher(11)
-    store = SketchStore(4, hasher)
-    store.on_edge_added(1, 2)
-    store.on_edge_added(1, 3)
-    assert len(store.sketch(1)) == 2
-    assert len(store.sketch(2)) == 1
+    g = DynamicLabeledGraph()
+    store = SketchStore(4, hasher, g.adj)
+    for a, b in ((1, 2), (1, 3)):
+        g.add_edge(a, 0, b, 0, 0)
+        store.on_edge_added(a, b)
+    assert store.sketch(1).smallest() == sorted([hasher.value(2), hasher.value(3)])
+    assert store.sketch(2).smallest() == [hasher.value(1)]
+    g.delete_edge(1, 2)
     store.on_edge_deleted(1, 2)
-    assert len(store.sketch(1)) == 1
-    assert len(store.sketch(2)) == 0
+    assert store.sketch(1).smallest() == [hasher.value(3)]
+    assert store.sketch(2).smallest() == []
+    store.verify()
+
+
+def _star_store():
+    # a hub with more neighbours than its size-4 sketch retains
+    g = DynamicLabeledGraph()
+    store = SketchStore(4, VertexHasher(5), g.adj)
+    for x in range(1, 11):
+        g.add_edge(0, 0, x, 0, 0)
+        store.on_edge_added(0, x)
+    return g, store
+
+
+def test_store_refills_a_hub_from_the_adjacency():
+    g, store = _star_store()
+    hub = store.sketch(0)
+    leaving = min(range(1, 11), key=store.hasher.value)
+    g.delete_edge(0, leaving)
+    store.on_edge_deleted(0, leaving)
+    assert hub.smallest() == sorted(store.hasher.value(x) for x in g.adj[0])[:4]
+    store.verify()
+
+
+def test_store_verify_catches_a_lost_retained_value():
+    g, store = _star_store()
+    store.verify()
+    hub = store.sketch(0)
+    hub._plus_set.remove(hub._plus.pop())
+    with pytest.raises(SketchError):
+        store.verify()
