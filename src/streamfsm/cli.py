@@ -179,8 +179,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.mode == "exact":
-        raise _UsageError("compare needs an approximate mode (sr or osr)")
     events = _prepare_events(args)
     config = _build_config(args, args.mode, events)
     exact_cfg = EngineConfig(

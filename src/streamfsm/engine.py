@@ -1,16 +1,16 @@
-"""Streaming engines behind one interface: exact counting, reservoir
-sampling, and the skip-optimized reservoir, over incremental or
-fully-dynamic labeled edge streams.
+"""Streaming engines behind one interface, exact counting and reservoir
+sampling, over incremental or fully-dynamic labeled edge streams.
 
 All engines keep the evolving graph plus N, the number of currently
 connected k-subgraphs. The exact engine counts those subgraphs per pattern
 class, moving the counts of the k-sets over an edge when the edge comes or
-goes. The sampling engines keep a uniform fixed-capacity sample of them and
-share one event path: the sampled members over the edge are updated in
-place, and the newly connected k-sets go to the engine's admission step,
-a coin per arrival (``sr``) or skip counters (``osr``); a deletion's
-destroyed subgraphs become pairing debt. Frequency estimates and frequent
-reports are read off per-class counts, of the sample or exact.
+goes. The sampling engine keeps a uniform fixed-capacity sample of them:
+the sampled members over the edge are updated in place, the newly
+connected k-sets go through one admission step (reservoir sampling with
+random pairing), and a deletion's destroyed subgraphs become pairing debt.
+Its two modes differ only in how the admission step draws a skip: a coin
+per arrival (``sr``) or by inversion (``osr``). Frequency estimates and
+frequent reports are read off per-class counts, of the sample or exact.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import chain
 from math import ceil, log
 from typing import NamedTuple
 
-from .exploration import compute_d_exact, exclusive_thirds, new_vertex_sets, sketch_delta
+from .exploration import exclusive_thirds, new_vertex_sets, sketch_delta
 from .graph import DynamicLabeledGraph, is_connected
 from .pattern import PatternKey, canonical_key, count_patterns
 from .rng import substream, substream_seed
@@ -36,7 +36,9 @@ from .sampling import (
     pair_slot,
     shape_key,
     skip_rp,
+    skip_rp_sequential,
     skip_rs,
+    skip_rs_sequential,
     vertex_code,
 )
 from .sketch import SketchStore, VertexHasher
@@ -225,10 +227,9 @@ def _triple_member(nu, nv, labels, u, lu, v, lv, le, w) -> tuple[int, tuple]:
 
 
 class _EngineBase:
-    mode = "?"
-
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
+        self.mode = config.mode
         self.k = config.k
         self.graph = DynamicLabeledGraph()
         self.events_seen = 0
@@ -297,8 +298,6 @@ class _EngineBase:
 class ExactCountEngine(_EngineBase):
     """Maintains exact per-pattern counts incrementally from the per-event
     case analysis (modified / created / destroyed subgraphs)."""
-
-    mode = "exact"
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
@@ -398,11 +397,17 @@ class ExactCountEngine(_EngineBase):
             )
 
 
-class _SamplingEngineBase(_EngineBase):
-    """The event path of both samplers. An insertion updates the sampled
-    members over the pair and hands the newly connected k-sets to the
-    subclass's admission step; a deletion updates or drops the sampled
-    members over the pair and books the destroyed rest as pairing debt."""
+class SamplingEngine(_EngineBase):
+    """Reservoir sampling with random pairing over the connected k-sets.
+
+    An insertion updates the sampled members over the pair in place and
+    runs the k-sets it newly connected through the admission step; a
+    deletion updates or drops the sampled members over the pair and books
+    the destroyed rest as pairing debt. ``sr`` and ``osr`` share all of it
+    and differ only in how a skip, the number of arrivals rejected before
+    the next admission, is drawn: a coin per arrival (``sr``) or by
+    inversion (``osr``). ``osr`` may also estimate the size-3 delta from
+    neighbourhood sketches (sketch-W)."""
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
@@ -410,6 +415,18 @@ class _SamplingEngineBase(_EngineBase):
         self.reservoir = SubgraphReservoir(self.sample_size, self.graph.adj)
         self.rng = substream(config.seed, "sample")
         self.sketches: SketchStore | None = None  # sketch-W only
+        if config.w_mode == "sketch":
+            hasher = VertexHasher(substream_seed(config.seed, "hash"))
+            self.sketches = SketchStore(config.sketch_size, hasher, self.graph.adj)
+        # read from the module at construction, so that wrappers installed
+        # on the module names see the draws
+        if self.mode == "osr":
+            self._skip_rs, self._skip_rp = skip_rs, skip_rp
+        else:
+            self._skip_rs, self._skip_rp = skip_rs_sequential, skip_rp_sequential
+        # arrivals to reject before the next reservoir admission, carried
+        # across events; None until the first arrival after an admission
+        self.rs_pending: int | None = None
         # the (code, shape) builder of a member as the event leaves it,
         # admitted or updated, called with the adjacency and labels of the
         # edge's endpoints, the edge's label (None once deleted) and the
@@ -449,57 +466,24 @@ class _SamplingEngineBase(_EngineBase):
                 )
 
     def _apply_add(self, ev: StreamEvent) -> EventStats:
-        g = self.graph
         u, v, le = ev.u, ev.v, ev.label_e
-        store = self.sketches
-        sets = None
-        if self.k != 3:
-            # the pair's k-sets, enumerated once per event: they hold the
-            # sampled members over the pair and the new sets
-            sets = list(g.candidate_vertex_sets(u, v, self.k))
-            new = (new_vertex_sets(g, u, v, self.k, sets), ())
-        elif store is None:
-            # the third vertices of the new sets, built before the add
-            new = exclusive_thirds(g, u, v)
-        else:
-            new = None  # sketch-W counts them after the add
-        g.add_edge(u, ev.label_u, v, ev.label_v, le)
-        if store is not None:
-            store.on_edge_added(u, v)
+        self.graph.add_edge(u, ev.label_u, v, ev.label_v, le)
+        if self.sketches is not None:
+            self.sketches.on_edge_added(u, v)
+        sets, created, groups = self._event_sets(u, v)
         modified = self._update_members(u, v, sets)[0]
-        created, admitted = self._admit(u, v, le, new)
+        admitted = self._admit(u, v, le, created, groups)
         return EventStats(created, 0, modified, admitted)
 
-    def _admit(self, u: int, v: int, le: int, new) -> tuple[int, int]:
-        """Offer the k-sets the edge (u, v) newly connected, with the graph
-        holding it. ``new`` holds them in two groups: the two sets of third
-        vertices built before the add for k=3, the list of vertex sets and
-        an empty tuple otherwise, or None for sketch-W to count. Returns the
-        arrivals and the admissions."""
-        raise NotImplementedError
-
-    def _sketch_count(self, u: int, v: int) -> tuple[int, tuple | None]:
-        """Sketch-W's delta of (u, v) rounded to whole subgraphs, with the
-        third vertices when ``sketch_delta`` counted them exactly."""
-        est, thirds = sketch_delta(self.sketches, self.graph, u, v)
-        return round(est), thirds
-
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
-        g = self.graph
         res = self.reservoir
         u, v = ev.u, ev.v
-        g.delete_edge(u, v)
+        self.graph.delete_edge(u, v)
         store = self.sketches
         if store is not None:
             store.on_edge_deleted(u, v)
-        sets = None if self.k == 3 else list(g.candidate_vertex_sets(u, v, self.k))
+        sets, destroyed, _ = self._event_sets(u, v)
         modified, dropped = self._update_members(u, v, sets)
-        if sets is not None:
-            destroyed = len(new_vertex_sets(g, u, v, self.k, sets))
-        elif store is None:
-            destroyed = compute_d_exact(g, u, v, 3)
-        else:
-            destroyed = self._sketch_count(u, v)[0]
         if destroyed < dropped:
             if store is None:
                 raise SampleInvariantError(
@@ -514,6 +498,25 @@ class _SamplingEngineBase(_EngineBase):
                 raise SampleInvariantError("population fell below sample occupancy")
             res.n_population = len(res.codes)
         return EventStats(0, destroyed, modified, 0)
+
+    def _event_sets(self, u: int, v: int):
+        """The event delta of (u, v), with the graph and the sketches past
+        the event: ``(sets, count, groups)``. ``sets`` is the pair's
+        candidate k-sets, enumerated once per event (None at k=3, whose
+        member lookup reads the adjacency); ``count`` is how many k-sets the
+        edge connects, and ``groups`` lists them in two groups: the two sets
+        of third vertices at k=3, the vertex sets and an empty tuple
+        otherwise, or None when sketch-W estimated the count."""
+        g = self.graph
+        if self.k != 3:
+            sets = list(g.candidate_vertex_sets(u, v, self.k))
+            new = new_vertex_sets(g, u, v, self.k, sets)
+            return sets, len(new), (new, ())
+        if self.sketches is None:
+            groups = exclusive_thirds(g, u, v)
+            return None, len(groups[0]) + len(groups[1]), groups
+        est, groups = sketch_delta(self.sketches, g, u, v)
+        return None, round(est), groups
 
     def _update_members(self, u: int, v: int, sets) -> tuple[int, int]:
         """With the graph just past an add or delete of (u, v): give the
@@ -546,80 +549,17 @@ class _SamplingEngineBase(_EngineBase):
                 modified += 1
         return modified, dropped
 
-
-class ReservoirEngine(_SamplingEngineBase):
-    """Arrival-by-arrival reservoir maintenance: every newly connected
-    subgraph gets its own admission coin; sampled subgraphs touched by the
-    event are swapped in place; destroyed ones feed the pairing counters."""
-
-    mode = "sr"
-
-    def _admit(self, u: int, v: int, le: int, new) -> tuple[int, int]:
-        g = self.graph
-        res = self.reservoir
-        member = self._member
-        place = res.place
-        nu = g.adj[u]
-        nv = g.adj[v]
-        labels = g.labels
-        lu = labels[u]
-        lv = labels[v]
-        rng = self.rng
-        cap = res.capacity
-        occ = len(res.codes)
-        admitted = 0
-        for x in chain(*new):
-            n = res.n_population + 1
-            res.n_population = n
-            debt = res.c1 + res.c2
-            if debt == 0:
-                # reservoir step: below capacity admit, else replace a
-                # random slot with probability M/N
-                if occ == cap and rng.random() >= cap / n:
-                    continue
-            elif rng.random() < res.c1 / debt:
-                # pairing step: compensate a deletion that hit the sample
-                res.pay_hit()
-            else:
-                res.c2 -= 1
-                continue
-            code, shape = member(nu, nv, labels, u, lu, v, lv, le, x)
-            place(code, shape, rng)
-            if occ < cap:
-                occ += 1
-            admitted += 1
-        return len(new[0]) + len(new[1]), admitted
-
-
-class SkipReservoirEngine(_SamplingEngineBase):
-    """Skip-optimized reservoir: per event, sampled subgraphs containing the
-    touched pair are updated in place, the count of newly connected
-    subgraphs is either computed exactly or estimated from neighborhood
-    sketches, and admissions are decided by skip counters so rejected
-    arrivals cost O(1) in bulk."""
-
-    mode = "osr"
-
-    def __init__(self, config: EngineConfig) -> None:
-        super().__init__(config)
-        self.w_mode = config.w_mode
-        if self.w_mode == "sketch":
-            hasher = VertexHasher(substream_seed(config.seed, "hash"))
-            self.sketches = SketchStore(config.sketch_size, hasher, self.graph.adj)
-        # arrivals to reject before the next reservoir admission; drawn at
-        # the previous admission and carried across events
-        self.rs_pending = skip_rs(0, self.sample_size, self.rng)
-
     def _consume_arrivals(self, count: int) -> int:
-        """Run ``count`` new-subgraph arrivals through the skip machinery.
+        """Run ``count`` new-subgraph arrivals through the admission step.
 
-        Returns the number admitted, whose pairing admissions are paid for;
-        the reservoir's ``place`` puts each admission where it goes. The
-        pairing regime is re-entered whenever deletions left debt; its
-        skip counter is drawn fresh per event because deletions in between
-        would stale it, while the reservoir regime's pending counter
-        stays valid across events (deletions and their compensating
-        arrivals cancel out in N by the time the regime resumes).
+        Returns the number admitted, whose pairing admissions are paid for.
+        While deletions left debt, the pairing step admits with probability
+        c1/(c1 + c2), its skip drawn fresh per event because deletions in
+        between would stale it; with c1 = 0 it rejects without a draw.
+        Otherwise the reservoir step admits every arrival while N < M and
+        then one after each skip, drawn at the first arrival after an
+        admission and carried across events (deletions and their
+        compensating arrivals cancel out in N by the time the step resumes).
         """
         res = self.reservoir
         rng = self.rng
@@ -628,15 +568,15 @@ class SkipReservoirEngine(_SamplingEngineBase):
         remaining = count
         while remaining > 0:
             debt = res.c1 + res.c2
-            if debt > 0:
+            if debt:
                 if res.c1 == 0:
                     take = min(remaining, res.c2)
                     res.c2 -= take
                     res.n_population += take
                     remaining -= take
                     continue
-                z = skip_rp(res.c1, debt, rng)
-                if z + 1 <= remaining:
+                z = self._skip_rp(res.c1, debt, rng)
+                if z < remaining:
                     res.c2 -= z
                     res.pay_hit()
                     res.n_population += z + 1
@@ -646,40 +586,43 @@ class SkipReservoirEngine(_SamplingEngineBase):
                     res.c2 -= remaining
                     res.n_population += remaining
                     remaining = 0
-            else:
-                pending = self.rs_pending
-                if pending >= remaining:
-                    self.rs_pending = pending - remaining
-                    res.n_population += remaining
-                    remaining = 0
-                elif pending == 0 and res.n_population + 1 < cap:
-                    # below capacity skip_rs returns 0 without a draw, so the
-                    # arrivals that keep N below M are admitted in one step
-                    take = min(remaining, cap - 1 - res.n_population)
+                continue
+            pending = self.rs_pending
+            if pending is None:
+                n = res.n_population
+                if n < cap:
+                    take = min(remaining, cap - n)
                     res.n_population += take
                     remaining -= take
                     admitted += take
-                else:
-                    res.n_population += pending + 1
-                    remaining -= pending + 1
-                    admitted += 1
-                    self.rs_pending = skip_rs(res.n_population, cap, rng)
+                    continue
+                pending = self._skip_rs(n, cap, rng)
+            if pending >= remaining:
+                self.rs_pending = pending - remaining
+                res.n_population += remaining
+                remaining = 0
+            else:
+                self.rs_pending = None
+                res.n_population += pending + 1
+                remaining -= pending + 1
+                admitted += 1
         return admitted
 
-    def _admit(self, u: int, v: int, le: int, new) -> tuple[int, int]:
-        g = self.graph
-        if new is None:
-            # the thirds come back when sketch-W counted them exactly
-            arrivals, new = self._sketch_count(u, v)
-        else:
-            arrivals = len(new[0]) + len(new[1])
-        admissions = self._consume_arrivals(arrivals)
+    def _admit(self, u: int, v: int, le: int, count: int, groups) -> int:
+        """Offer the ``count`` k-sets that the edge (u, v) newly connected,
+        listed in ``groups`` (see ``_event_sets``), and place the admitted
+        ones, drawn uniformly among them. Returns the admissions."""
+        admissions = self._consume_arrivals(count)
         if not admissions:
-            return arrivals, 0
-        if new is None:
-            new = exclusive_thirds(g, u, v)
-        pool = [*new[0], *new[1]]
+            return 0
+        g = self.graph
+        if groups is None:
+            groups = exclusive_thirds(g, u, v)
+        pool = [*groups[0], *groups[1]]
         rng = self.rng
+        # an admission count of the whole pool takes it without a draw; a
+        # sketch estimate above the real pool drops the surplus admissions
+        chosen = pool if admissions >= len(pool) else rng.sample(pool, admissions)
         member = self._member
         place = self.reservoir.place
         nu = g.adj[u]
@@ -687,18 +630,13 @@ class SkipReservoirEngine(_SamplingEngineBase):
         labels = g.labels
         lu = labels[u]
         lv = labels[v]
-        # a sketch estimate above the real pool admits the whole pool and
-        # drops the surplus admissions
-        chosen = rng.sample(pool, min(admissions, len(pool)))
         for x in chosen:
             code, shape = member(nu, nv, labels, u, lu, v, lv, le, x)
             place(code, shape, rng)
-        return arrivals, len(chosen)
+        return len(chosen)
 
 
 def build_engine(config: EngineConfig) -> _EngineBase:
     if config.mode == "exact":
         return ExactCountEngine(config)
-    if config.mode == "sr":
-        return ReservoirEngine(config)
-    return SkipReservoirEngine(config)
+    return SamplingEngine(config)

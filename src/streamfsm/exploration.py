@@ -13,12 +13,15 @@ def exclusive_thirds(g: DynamicLabeledGraph, u: int, v: int):
     the neighbours of u that are not neighbours of v, and the mirror.
 
     The one size-3 set algebra of every engine. ``g`` may hold the edge or
-    not; only when it does are the endpoints themselves subtracted."""
+    not: each difference is built once, and the endpoints, there only when
+    ``g`` holds the edge, are discarded from it in place."""
     nu = g.adj.get(u) or {}
     nv = g.adj.get(v) or {}
-    if v in nu:
-        return nu.keys() - nv.keys() - {v}, nv.keys() - nu.keys() - {u}
-    return nu.keys() - nv.keys(), nv.keys() - nu.keys()
+    ex_u = nu.keys() - nv.keys()
+    ex_v = nv.keys() - nu.keys()
+    ex_u.discard(v)
+    ex_v.discard(u)
+    return ex_u, ex_v
 
 
 def _connected_without_edge(adj, vset, u: int, v: int) -> bool:

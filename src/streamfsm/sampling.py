@@ -5,12 +5,12 @@ the connected k-subgraph population: N, and the c1/c2 split of the
 deletions that later insertions must pair with. It places admitted members
 by one rule, a free slot while one is left, else a uniformly random one, and
 pays the pairing debt; the admission decisions (the classic reservoir step
-and the pairing step, by a coin per arrival or by skip counters) live in the
-engines. Per-class counts kept beside the slots make a frequency report cost
-O(pattern classes), not O(sample size). The sample is held in columns of
-ints and shared records, so a full sample adds no work to the garbage
-collector, and a placement is small-int work on the columns, a code -> slot
-map and the class-id counts. The records come from one shape table for every
+and the pairing step, each counting off skips drawn by a coin per arrival or
+by inversion) live in the sampling engine. Per-class counts kept beside the
+slots make a frequency report cost O(pattern classes), not O(sample size).
+The sample is held in columns of ints and shared records, so a full sample
+adds no work to the garbage collector, and a placement is small-int work on
+the columns, a code -> slot map and the class-id counts. The records come from one shape table for every
 k (``SHAPES``): a set's key is its vertex labels in ascending-id order, then
 the label of each position pair (i, j), i < j, in lexicographic order (None
 for an absent edge), and every member of one key shares one record, so only
@@ -377,10 +377,11 @@ class SubgraphReservoir:
 # --- skip counters -------------------------------------------------------
 #
 # Both generators draw, in one shot, the number of upcoming arrivals that
-# are provably rejected before the next admission, replacing per-arrival
-# coin flips. The distributions are inverted exactly: short skips walk the
-# survival product term by term, long skips binary-search the closed-form
-# tail written with lgamma.
+# are rejected before the next admission. ``skip_rs``/``skip_rp`` (osr)
+# invert the distributions exactly: short skips walk the survival product
+# term by term, long skips binary-search the closed-form tail written with
+# lgamma. ``skip_rs_sequential``/``skip_rp_sequential`` (sr) flip a coin per
+# arrival instead.
 
 _SEQ_LIMIT = 64
 
@@ -398,10 +399,10 @@ def _log_tail_rs(n: int, m: int, z: int) -> float:
 def skip_rs(n: int, m: int, rng: random.Random) -> int:
     """Arrivals to reject before the next reservoir admission.
 
-    ``n`` is the population count as of the last admission; each arrival
-    bumps it by one, so the z-th upcoming arrival survives rejection with
-    probability 1 - m/(n+z). Returns 0 while the sample is still filling
-    (n < m).
+    ``n`` is the population count before the upcoming arrivals; each
+    arrival bumps it by one, so the z-th upcoming arrival survives rejection
+    with probability 1 - m/(n+z). Returns 0 while the sample is still
+    filling (n < m).
     """
     if m < 1:
         raise ValueError(f"capacity must be >= 1, got {m}")
@@ -434,7 +435,8 @@ def skip_rs(n: int, m: int, rng: random.Random) -> int:
 
 
 def skip_rs_sequential(n: int, m: int, rng: random.Random) -> int:
-    """Per-arrival coin-flip reference for skip_rs (correctness oracle)."""
+    """``skip_rs`` drawn a coin per arrival: the ``sr`` engine's reservoir
+    skip, and the reference ``skip_rs`` is tested against."""
     if m < 1:
         raise ValueError(f"capacity must be >= 1, got {m}")
     if n < m:
@@ -496,7 +498,8 @@ def skip_rp(c1: int, d: int, rng: random.Random) -> int:
 
 
 def skip_rp_sequential(c1: int, d: int, rng: random.Random) -> int:
-    """Per-arrival coin-flip reference for skip_rp (correctness oracle)."""
+    """``skip_rp`` drawn a coin per arrival: the ``sr`` engine's pairing
+    skip, and the reference ``skip_rp`` is tested against."""
     if c1 < 1 or c1 > d:
         raise ValueError(f"need 1 <= c1 <= d, got c1={c1}, d={d}")
     z = 0

@@ -479,21 +479,29 @@ def _seeded_digest(k, mode, w_mode, delete_fraction):
 # the counts changed (the snapshot lines stay byte-identical), and both
 # (3, sr, exact) rows, whose coins now meet the arrivals in the order of the
 # plain set difference rather than of a copy less {v}.
+# All ten sr and osr rows were recomputed when both samplers came to share
+# one admission step, which moved their draws: sr's coins are drawn as skips
+# (a run of coins up to the next admission), and none are drawn while
+# c1 = 0, where the pairing step cannot admit; osr's reservoir skip is drawn
+# at the first arrival after an admission rather than at the admission; an
+# admission count of the whole pool places it without an rng.sample; and
+# the size-3 thirds are built after the add, with the endpoints discarded
+# in place, so the arrivals meet the draws in another order.
 SEEDED_DIGESTS = {
     (3, "exact", "exact", 0.0): "257e8987e0512322bb5a2cc844e63d6baacd9000010f1950369595876d7cc1ea",
     (3, "exact", "exact", 0.3): "23baf6f4a5dd237e8173250340542a230ea71a8b95eb50ac73161823e2daec96",
     (4, "exact", "exact", 0.0): "7a1de3fd60c59458ef8a8f87200447b10b8fb5839181e01b6fbd597e1314da17",
     (4, "exact", "exact", 0.3): "e0609d00f8284002449a33adc2296f63a676d2f02312b7a1d4ba7db0cba724e3",
-    (3, "sr", "exact", 0.0): "8fe88754167cda40ed540bb45bb1962300b548479c458cf3b515a274c58bcfbd",
-    (3, "sr", "exact", 0.3): "de9154f97ba59e0658c65a4351ae32b22a8cc48ff7c64fa92bafc9c7d41591de",
-    (3, "osr", "exact", 0.0): "1e9600b1269895a1d0da879bb557e255e136aef1fe1ea75e8234eb49d770cc44",
-    (3, "osr", "exact", 0.3): "df29f5bf2b20d3a6852333c06bee802c8206cbdc91d1209af640fc334b3be37b",
-    (3, "osr", "sketch", 0.0): "6213349598a512c3bf4cd8b35e0b2a84df2dfa271a3101158ba79d1af823a9c5",
-    (3, "osr", "sketch", 0.3): "65e667c7a51c373f79dc3c415026078e17c870e485405945ee233fe7f872c0c3",
-    (4, "sr", "exact", 0.0): "132801c8682a7e9a5630f7fc4c1baa2965fd482c727c418e88be9724353b828d",
-    (4, "sr", "exact", 0.3): "eecccea3c3e356a4bca5d010a5f8d2468b56bf832ea9fd52da61ffd78fd88f7e",
-    (4, "osr", "exact", 0.0): "3882172187ff27681f72eedc71cdf2c749bb8f288c78cf96df0b29fc5033c6d5",
-    (4, "osr", "exact", 0.3): "c97987227f11d78e89ecc124aa811e560344697e30a8346477d07fe1f7bd0d48",
+    (3, "sr", "exact", 0.0): "fd499ac7f3d59a4d6eba8a0c132b8f10071c88d8f17534460423d6511f84338e",
+    (3, "sr", "exact", 0.3): "d483914957d60c5879cc9abee6c7ebb1d2126987a0f2682549b6a60fd623c269",
+    (3, "osr", "exact", 0.0): "c970c5733516548333272f7a8346f403bcc571e08498ad1f4a414aaf9f2e6dcc",
+    (3, "osr", "exact", 0.3): "8b6f6e14eef7e479a736c253cbc4d230ae88c8264d1aeaa7940666e024712055",
+    (3, "osr", "sketch", 0.0): "60d226293059c5afca3cebe9cc66309c5e77286891cc9ca5fc632597e0e6368b",
+    (3, "osr", "sketch", 0.3): "7692b042c759a187a28763af2885a843a2b982c2c5b068abb75ac3b3181b6a8d",
+    (4, "sr", "exact", 0.0): "e1d1d423dcc36284b5baa69e456573056cf5cc64686354285f9a286a85b28d55",
+    (4, "sr", "exact", 0.3): "fd1117b30a6559d91001767259db940c519af01aaf607f738eedc8bdc4945092",
+    (4, "osr", "exact", 0.0): "c2c4b197f1004bc63944c167d97fb133dec88e7fb16da5f7ed682f523b87de9c",
+    (4, "osr", "exact", 0.3): "810a80a1d69742036dde36031dbf66f15e39028e1ccb4cb2845f7e7dc1784b4c",
 }
 
 

@@ -48,13 +48,14 @@ def _place(res, inst):
     res.place(*_columns(inst), random.Random(0))
 
 
-# The admission rules live in ReservoirEngine: one coin per arrival. Each
-# path a-b-c whose second edge arrives creates exactly one new connected
-# 3-set, so the engine offers one arrival per path.
+# The admission rules live in SamplingEngine._consume_arrivals, shared by
+# sr, which draws its skips a coin per arrival, and osr, which draws them by
+# inversion. Each path a-b-c whose second edge arrives creates exactly one
+# new connected 3-set, so the engine offers one arrival per path.
 
 
-def _paths_engine(capacity, paths, seed=0):
-    eng = build_engine(EngineConfig(mode="sr", dynamic=True, sample_size=capacity, seed=seed))
+def _paths_engine(capacity, paths, seed=0, mode="sr"):
+    eng = build_engine(EngineConfig(mode=mode, dynamic=True, sample_size=capacity, seed=seed))
     for i in range(paths):
         _offer_path(eng, i)
     return eng
@@ -66,10 +67,11 @@ def _offer_path(eng, i) -> int:
     return eng.process_event(add_event(a + 1, 0, a + 2, 0, 0)).admitted
 
 
-def test_insert_below_capacity_always_admits():
+@pytest.mark.parametrize("mode", ["sr", "osr"])
+def test_insert_below_capacity_always_admits(mode):
     """Below capacity the reservoir step admits every arrival without a
-    draw."""
-    eng = _paths_engine(5, 0)
+    draw, the one that fills the sample included."""
+    eng = _paths_engine(5, 0, mode=mode)
     for i in range(5):
         state = eng.rng.getstate()
         assert _offer_path(eng, i) == 1
@@ -112,18 +114,22 @@ def test_duplicate_insert_rejected():
         _place(res, _inst(1, 2, 3))
 
 
-def _indebted_engine(capacity, occupancy, c1, c2, seed=1):
-    """An sr engine holding ``occupancy`` members, with the pairing debt
-    preset to (c1, c2)."""
-    eng = _paths_engine(capacity, occupancy, seed)
+def _indebted_engine(capacity, occupancy, c1, c2, seed=1, mode="sr"):
+    """An engine holding ``occupancy`` members, with the pairing debt preset
+    to (c1, c2)."""
+    eng = _paths_engine(capacity, occupancy, seed, mode)
     eng.reservoir.c1, eng.reservoir.c2 = c1, c2
     return eng
 
 
-def test_rp_insert_zero_probability():
-    """With c1 = 0 the pairing step rejects and pays off c2."""
-    eng = _indebted_engine(3, 1, 0, 3)
+@pytest.mark.parametrize("mode", ["sr", "osr"])
+def test_rp_insert_zero_probability(mode):
+    """With c1 = 0 the pairing step rejects without a draw and pays off
+    c2."""
+    eng = _indebted_engine(3, 1, 0, 3, mode=mode)
+    state = eng.rng.getstate()
     assert _offer_path(eng, 1) == 0
+    assert eng.rng.getstate() == state
     res = eng.reservoir
     assert (res.c1, res.c2, len(res.codes)) == (0, 2, 1)
 
