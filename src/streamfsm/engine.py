@@ -418,14 +418,18 @@ class SamplingEngine(_EngineBase):
         if config.w_mode == "sketch":
             hasher = VertexHasher(substream_seed(config.seed, "hash"))
             self.sketches = SketchStore(config.sketch_size, hasher, self.graph.adj)
-        # read from the module at construction, so that wrappers installed
-        # on the module names see the draws
+        # a skip draw takes the arrivals at hand as a limit: sr flips coins
+        # for those only and returns None when none is admitted, osr draws
+        # the whole skip. osr's are looked up in the module at each draw, so
+        # that wrappers installed on the module names see them.
         if self.mode == "osr":
-            self._skip_rs, self._skip_rp = skip_rs, skip_rp
+            self._skip_rs = lambda n, m, rng, limit: skip_rs(n, m, rng)
+            self._skip_rp = lambda c1, d, rng, limit: skip_rp(c1, d, rng)
         else:
             self._skip_rs, self._skip_rp = skip_rs_sequential, skip_rp_sequential
         # arrivals to reject before the next reservoir admission, carried
-        # across events; None until the first arrival after an admission
+        # across events; None until the first arrival after an admission,
+        # and after a draw that admitted none of the arrivals at hand
         self.rs_pending: int | None = None
         # the (code, shape) builder of a member as the event leaves it,
         # admitted or updated, called with the adjacency and labels of the
@@ -558,8 +562,11 @@ class SamplingEngine(_EngineBase):
         between would stale it; with c1 = 0 it rejects without a draw.
         Otherwise the reservoir step admits every arrival while N < M and
         then one after each skip, drawn at the first arrival after an
-        admission and carried across events (deletions and their
-        compensating arrivals cancel out in N by the time the step resumes).
+        admission. osr carries the rest of a skip across events (deletions
+        and their compensating arrivals cancel out in N by the time the step
+        resumes); sr flips coins for the arrivals at hand only and draws
+        afresh at the next event, so no coin is flipped for an arrival that
+        never comes.
         """
         res = self.reservoir
         rng = self.rng
@@ -575,17 +582,17 @@ class SamplingEngine(_EngineBase):
                     res.n_population += take
                     remaining -= take
                     continue
-                z = self._skip_rp(res.c1, debt, rng)
-                if z < remaining:
+                z = self._skip_rp(res.c1, debt, rng, remaining)
+                if z is None or z >= remaining:
+                    res.c2 -= remaining
+                    res.n_population += remaining
+                    remaining = 0
+                else:
                     res.c2 -= z
                     res.pay_hit()
                     res.n_population += z + 1
                     remaining -= z + 1
                     admitted += 1
-                else:
-                    res.c2 -= remaining
-                    res.n_population += remaining
-                    remaining = 0
                 continue
             pending = self.rs_pending
             if pending is None:
@@ -596,9 +603,9 @@ class SamplingEngine(_EngineBase):
                     remaining -= take
                     admitted += take
                     continue
-                pending = self._skip_rs(n, cap, rng)
-            if pending >= remaining:
-                self.rs_pending = pending - remaining
+                pending = self._skip_rs(n, cap, rng, remaining)
+            if pending is None or pending >= remaining:
+                self.rs_pending = None if pending is None else pending - remaining
                 res.n_population += remaining
                 remaining = 0
             else:
@@ -620,11 +627,18 @@ class SamplingEngine(_EngineBase):
             groups = exclusive_thirds(g, u, v)
         pool = [*groups[0], *groups[1]]
         rng = self.rng
-        # an admission count of the whole pool takes it without a draw; a
-        # sketch estimate above the real pool drops the surplus admissions
-        chosen = pool if admissions >= len(pool) else rng.sample(pool, admissions)
+        res = self.reservoir
+        # a whole pool that fits in the free slots is placed without a draw.
+        # Otherwise the admitted sets are drawn in random order: a placement
+        # that evicts may evict an earlier one of the same event, so a fixed
+        # order would favour the sets placed last. A sketch estimate above
+        # the real pool drops the surplus admissions.
+        if admissions >= len(pool) and len(res.codes) + len(pool) <= res.capacity:
+            chosen = pool
+        else:
+            chosen = rng.sample(pool, min(admissions, len(pool)))
         member = self._member
-        place = self.reservoir.place
+        place = res.place
         nu = g.adj[u]
         nv = g.adj[v]
         labels = g.labels

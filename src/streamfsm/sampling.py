@@ -381,7 +381,7 @@ class SubgraphReservoir:
 # invert the distributions exactly: short skips walk the survival product
 # term by term, long skips binary-search the closed-form tail written with
 # lgamma. ``skip_rs_sequential``/``skip_rp_sequential`` (sr) flip a coin per
-# arrival instead.
+# arrival instead, for the arrivals at hand only.
 
 _SEQ_LIMIT = 64
 
@@ -434,18 +434,20 @@ def skip_rs(n: int, m: int, rng: random.Random) -> int:
     return lo
 
 
-def skip_rs_sequential(n: int, m: int, rng: random.Random) -> int:
-    """``skip_rs`` drawn a coin per arrival: the ``sr`` engine's reservoir
-    skip, and the reference ``skip_rs`` is tested against."""
+def skip_rs_sequential(n: int, m: int, rng: random.Random, limit: int) -> int | None:
+    """``skip_rs`` drawn a coin per arrival, for the first ``limit``
+    arrivals only: the ``sr`` engine's reservoir skip, and the reference
+    ``skip_rs`` is tested against. Returns None when none of them is
+    admitted; the skip then goes on as a fresh draw at population
+    n + limit."""
     if m < 1:
         raise ValueError(f"capacity must be >= 1, got {m}")
     if n < m:
         return 0
-    z = 0
-    while True:
+    for z in range(limit):
         if rng.random() < m / (n + z + 1):
             return z
-        z += 1
+    return None
 
 
 def _log_tail_rp(c1: int, d: int, z: int) -> float:
@@ -497,13 +499,14 @@ def skip_rp(c1: int, d: int, rng: random.Random) -> int:
     return lo
 
 
-def skip_rp_sequential(c1: int, d: int, rng: random.Random) -> int:
-    """``skip_rp`` drawn a coin per arrival: the ``sr`` engine's pairing
-    skip, and the reference ``skip_rp`` is tested against."""
+def skip_rp_sequential(c1: int, d: int, rng: random.Random, limit: int) -> int | None:
+    """``skip_rp`` drawn a coin per arrival, for the first ``limit``
+    arrivals only: the ``sr`` engine's pairing skip, and the reference
+    ``skip_rp`` is tested against. Returns None when none of them is
+    admitted (never for a ``limit`` above d - c1)."""
     if c1 < 1 or c1 > d:
         raise ValueError(f"need 1 <= c1 <= d, got c1={c1}, d={d}")
-    z = 0
-    while True:
+    for z in range(limit):
         if rng.random() < c1 / (d - z):
             return z
-        z += 1
+    return None

@@ -89,11 +89,14 @@ def test_gen_then_compare_pipeline(tmp_path: Path):
     )
     assert r.returncode == 0
     out = tmp_path / "cmp.csv"
-    # tau below every true frequency: with one label there are two patterns
-    # and the wedge share dominates; tau tiny keeps recall pinned at 1.0
+    # with one label there are two patterns: 362 wedges and 14 triangles at
+    # the end. tau = 0.5 lies between their shares, and a sample of 40 holds
+    # at most 14 triangles, so its wedge share is at least 26/40 and recall
+    # is 1.0 whatever the draws (a tau below both shares would need a
+    # triangle in the sample, which a seed misses with probability 0.2)
     r2 = run_cli(
         "compare", str(stream), "--mode", "sr", "--sample-size", "40",
-        "--tau", "0.001", "--epsilon", "0.0005", "--seed", "2",
+        "--tau", "0.5", "--epsilon", "0.0005", "--seed", "2",
         "--report-every", "30", "--out", str(out),
     )
     assert r2.returncode == 0, r2.stderr
@@ -107,7 +110,7 @@ def test_gen_then_compare_pipeline(tmp_path: Path):
     out2 = tmp_path / "cmp2.csv"
     run_cli(
         "compare", str(stream), "--mode", "sr", "--sample-size", "40",
-        "--tau", "0.001", "--epsilon", "0.0005", "--seed", "2",
+        "--tau", "0.5", "--epsilon", "0.0005", "--seed", "2",
         "--report-every", "30", "--out", str(out2),
     )
     assert out.read_bytes() == out2.read_bytes()

@@ -106,6 +106,27 @@ def test_insert_eviction_uniform():
     assert chi.pvalue >= 1e-3
 
 
+@pytest.mark.parametrize("mode", ["sr", "osr"])
+def test_event_admissions_at_capacity_are_uniform(mode):
+    """At M=1 the sample holds {0,1,2} (N=1) when the edge 1-3 adds {0,1,3}
+    and {1,2,3} in one event; each of the three sets is then kept with
+    probability 1/3. Placing both of an event's admissions in a fixed order
+    would keep the first with probability 1/4 and the second with 5/12."""
+    trials = 6000
+    kept = Counter()
+    for seed in range(trials):
+        eng = build_engine(EngineConfig(mode=mode, sample_size=1, seed=seed))
+        for u, v in ((0, 1), (1, 2), (1, 3)):
+            eng.process_event(add_event(u, 0, v, 0, 0))
+        (inst,) = eng.reservoir.slots
+        kept[inst.vertices] += 1
+    assert set(kept) <= {(0, 1, 2), (0, 1, 3), (1, 2, 3)}
+    sigma = math.sqrt(2 / 9 / trials)
+    for vs in ((0, 1, 2), (0, 1, 3), (1, 2, 3)):
+        assert abs(kept[vs] / trials - 1 / 3) <= 4 * sigma, (vs, kept)
+    assert stats.chisquare(list(kept.values()), [trials / 3] * 3).pvalue >= 1e-3
+
+
 def test_duplicate_insert_rejected():
     res = SubgraphReservoir(3, {})
     res.n_population = 2
@@ -498,7 +519,7 @@ def test_skip_rs_zero_while_filling():
     rng = random.Random(1)
     for n in range(5):
         assert skip_rs(n, 5, rng) == 0
-        assert skip_rs_sequential(n, 5, rng) == 0
+        assert skip_rs_sequential(n, 5, rng, 1) == 0
 
 
 def test_skip_rs_point_probabilities():
@@ -597,7 +618,8 @@ def test_skip_rp_long_branch_matches_sequential():
     trials = 30000
     rng1, rng2 = random.Random(21), random.Random(22)
     fast = Counter(skip_rp(2, 400, rng1) for _ in range(trials))
-    slow = Counter(skip_rp_sequential(2, 400, rng2) for _ in range(trials))
+    # a limit above d - c1 never binds
+    slow = Counter(skip_rp_sequential(2, 400, rng2, 399) for _ in range(trials))
     support = sorted(set(fast) | set(slow))
     obs_f, obs_s = [], []
     bf = bs = 0
@@ -613,6 +635,52 @@ def test_skip_rp_long_branch_matches_sequential():
     table = [[f, s] for f, s in zip(obs_f, obs_s) if f + s > 0]
     chi = stats.chi2_contingency(list(zip(*table)))
     assert chi.pvalue >= 1e-3
+
+
+def _counting(rng):
+    """Count ``rng``'s calls of ``random()``, the coins of sr's skips (the
+    integer draws of placements go through ``getrandbits``)."""
+    coins = Counter()
+    draw = rng.random
+
+    def counted():
+        coins["n"] += 1
+        return draw()
+
+    rng.random = counted
+    return rng, coins
+
+
+@pytest.mark.parametrize("skip, args, pmf", [
+    pytest.param(skip_rs_sequential, (6, 2), pmf_skip_rs, id="rs"),
+    pytest.param(skip_rp_sequential, (1, 9), pmf_skip_rp, id="rp"),
+])
+def test_sequential_skip_stops_at_limit(skip, args, pmf):
+    """A sequential skip flips at most ``limit`` coins and returns None
+    when none of them admits, with the probability of a skip >= limit."""
+    limit, trials = 3, 20000
+    rng, coins = _counting(random.Random(4))
+    observed = Counter()
+    for _ in range(trials):
+        before = coins["n"]
+        z = skip(*args, rng, limit)
+        assert coins["n"] - before == (limit if z is None else z + 1)
+        observed[z] += 1
+    expected = [pmf(*args, z) * trials for z in range(limit)]
+    expected.append(trials - sum(expected))
+    observed = [observed[z] for z in range(limit)] + [observed[None]]
+    assert stats.chisquare(observed, expected).pvalue >= 1e-3
+
+
+def test_sr_flips_no_coin_for_arrivals_to_come():
+    """sr flips at most one coin per arrival within each event, also at
+    M=1, where a skip drawn to its end would run on past the stream."""
+    eng = _paths_engine(1, 1)
+    eng.rng, coins = _counting(random.Random(5))
+    for i in range(1, 400):
+        before = coins["n"]
+        _offer_path(eng, i)
+        assert coins["n"] - before == 1
 
 
 def test_skip_errors():
