@@ -9,7 +9,7 @@ the sampled members over the edge are updated in place, the newly
 connected k-sets go through one admission step (reservoir sampling with
 random pairing), and a deletion's destroyed subgraphs become pairing debt.
 Its two modes differ only in how the admission step draws a skip: a coin
-per arrival (``sr``) or by inversion (``osr``). Frequency estimates and
+per arrival (``sr``) or in one draw (``osr``). Frequency estimates and
 frequent reports are read off per-class counts, of the sample or exact.
 """
 
@@ -405,8 +405,8 @@ class SamplingEngine(_EngineBase):
     deletion updates or drops the sampled members over the pair and books
     the destroyed rest as pairing debt. ``sr`` and ``osr`` share all of it
     and differ only in how a skip, the number of arrivals rejected before
-    the next admission, is drawn: a coin per arrival (``sr``) or by
-    inversion (``osr``). ``osr`` may also estimate the size-3 delta from
+    the next admission, is drawn: a coin per arrival (``sr``) or in one
+    draw (``osr``). ``osr`` may also estimate the size-3 delta from
     neighbourhood sketches (sketch-W)."""
 
     def __init__(self, config: EngineConfig) -> None:

@@ -6,11 +6,14 @@ deletions that later insertions must pair with. It places admitted members
 by one rule, a free slot while one is left, else a uniformly random one, and
 pays the pairing debt; the admission decisions (the classic reservoir step
 and the pairing step, each counting off skips drawn by a coin per arrival or
-by inversion) live in the sampling engine. Per-class counts kept beside the
-slots make a frequency report cost O(pattern classes), not O(sample size).
-The sample is held in columns of ints and shared records, so a full sample
-adds no work to the garbage collector, and a placement is small-int work on
-the columns, a code -> slot map and the class-id counts. The records come from one shape table for every
+in one draw) live in the sampling engine. A one-shot skip costs O(1)
+expected time whatever N/M is: a short walk of its survival product, then
+Vitter's Algorithm Z (reservoir) or Method D (pairing) for the rest.
+Per-class counts kept beside the slots make a frequency report cost
+O(pattern classes), not O(sample size). The sample is held in columns of
+ints and shared records, so a full sample adds no work to the garbage
+collector, and a placement is small-int work on the columns, a code -> slot
+map and the class-id counts. The records come from one shape table for every
 k (``SHAPES``): a set's key is its vertex labels in ascending-id order, then
 the label of each position pair (i, j), i < j, in lexicographic order (None
 for an absent edge), and every member of one key shares one record, so only
@@ -25,7 +28,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from itertools import combinations
-from math import isqrt, lgamma, log
+from math import exp, expm1, isqrt, lgamma, log
 
 from .graph import VERTEX_ID_LIMIT, SubgraphInstance, is_connected
 from .pattern import PatternKey, canonical_key
@@ -377,23 +380,36 @@ class SubgraphReservoir:
 # --- skip counters -------------------------------------------------------
 #
 # Both generators draw, in one shot, the number of upcoming arrivals that
-# are rejected before the next admission. ``skip_rs``/``skip_rp`` (osr)
-# invert the distributions exactly: short skips walk the survival product
-# term by term, long skips binary-search the closed-form tail written with
-# lgamma. ``skip_rs_sequential``/``skip_rp_sequential`` (sr) flip a coin per
-# arrival instead, for the arrivals at hand only.
+# are rejected before the next admission. ``skip_rs``/``skip_rp`` (osr) draw
+# it exactly in O(1) expected time. They walk the survival product on one
+# uniform for at most _SEQ_LIMIT arrivals; the rest of a longer skip has the
+# same law at the state where the walk stopped and is drawn afresh, by
+# rejection from a continuous envelope against the exact log-pmf (lgamma):
+# Vitter's Algorithm Z (ACM TOMS 1985) for the reservoir, Method D (ACM
+# TOMS 1987) for the pairing. Above a population of _Z_RATIO·m the reservoir
+# skip is drawn by Z alone. The chance that the walk runs out times the
+# expected rounds of Z or D after it is at most 1.
+# ``skip_rs_sequential``/``skip_rp_sequential`` (sr) flip a coin per arrival
+# instead, for the arrivals at hand only.
 
 _SEQ_LIMIT = 64
+_Z_RATIO = 22
 
 
-def _log_tail_rs(n: int, m: int, z: int) -> float:
-    # ln Pr[skip >= z] for the reservoir chain starting at population n
-    return (
-        lgamma(n - m + z + 1)
-        - lgamma(n - m + 1)
-        - lgamma(n + z + 1)
-        + lgamma(n + 1)
-    )
+def _skip_z(t: int, m: int, rng: random.Random) -> int:
+    # Algorithm Z at population t >= m: X = t(U^(-1/m) - 1) has density
+    # g(x) = m/(t+x) (t/(t+x))^m, and c g(x) >= f(floor x) for the pmf f
+    # with c = (t+1)/(t-m+1), the expected number of rounds
+    base = lgamma(t + 1) - lgamma(t - m + 1)
+    while True:
+        log_u = log(1.0 - rng.random())
+        x = t * expm1(-log_u / m)  # no cancellation at large m
+        s = int(x)
+        # ln f(s) - ln(c g(x))
+        log_ratio = (base + lgamma(t - m + 1 + s) - lgamma(t + 1 + s) - log_u
+                     + log((t + x) * (t - m + 1) / ((t + s + 1) * (t + 1))))
+        if rng.random() < exp(log_ratio):
+            return s
 
 
 def skip_rs(n: int, m: int, rng: random.Random) -> int:
@@ -410,6 +426,8 @@ def skip_rs(n: int, m: int, rng: random.Random) -> int:
         raise ValueError(f"population must be >= 0, got {n}")
     if n < m:
         return 0
+    if n > _Z_RATIO * m:
+        return _skip_z(n, m, rng)
     v = 1.0 - rng.random()  # uniform on (0, 1]
     tail = 1.0
     z = 0
@@ -418,20 +436,8 @@ def skip_rs(n: int, m: int, rng: random.Random) -> int:
         if tail <= v:
             return z
         z += 1
-    # tail(z+1) > v for all z < _SEQ_LIMIT; bracket then bisect on z.
-    logv = log(v)
-    lo = _SEQ_LIMIT  # answer is >= lo
-    hi = 2 * _SEQ_LIMIT
-    while _log_tail_rs(n, m, hi + 1) > logv:
-        lo = hi
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _log_tail_rs(n, m, mid + 1) <= logv:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # the rest of the skip, at the population the walk reached
+    return _SEQ_LIMIT + _skip_z(n + _SEQ_LIMIT, m, rng)
 
 
 def skip_rs_sequential(n: int, m: int, rng: random.Random, limit: int) -> int | None:
@@ -450,16 +456,21 @@ def skip_rs_sequential(n: int, m: int, rng: random.Random, limit: int) -> int | 
     return None
 
 
-def _log_tail_rp(c1: int, d: int, z: int) -> float:
-    # ln Pr[skip >= z] for the pairing chain; support ends at d - c1
-    if z > d - c1:
-        return float("-inf")
-    return (
-        lgamma(d - c1 + 1)
-        - lgamma(d - c1 - z + 1)
-        - lgamma(d + 1)
-        + lgamma(d - z + 1)
-    )
+def _skip_d(n: int, N: int, rng: random.Random) -> int:
+    # Method D: the skip before the next of n picks among N items, with
+    # Pr[skip >= s] = C(N-s, n)/C(N, n). X = N(1 - U^(1/n)) has density
+    # g(x) = n/N (1 - x/N)^(n-1) on [0, N), and c g(x) >= f(floor x) for the
+    # pmf f with c = N/(N-n+1), the expected number of rounds
+    base = lgamma(N - n + 1) - lgamma(N) + log((N - n + 1) / N)
+    while True:
+        log_u = log(1.0 - rng.random())
+        s = int(-N * expm1(log_u / n))
+        if s > N - n:
+            continue
+        # ln f(s) - ln(c g(x))
+        log_ratio = base + lgamma(N - s) - lgamma(N - s - n + 1) - (n - 1) / n * log_u
+        if rng.random() < exp(log_ratio):
+            return s
 
 
 def skip_rp(c1: int, d: int, rng: random.Random) -> int:
@@ -484,19 +495,8 @@ def skip_rp(c1: int, d: int, rng: random.Random) -> int:
         z += 1
     if z >= bound:
         return bound
-    logv = log(v)
-    lo = _SEQ_LIMIT
-    hi = min(2 * _SEQ_LIMIT, bound)
-    while _log_tail_rp(c1, d, hi + 1) > logv:
-        lo = hi
-        hi = min(2 * hi, bound)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _log_tail_rp(c1, d, mid + 1) <= logv:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # the rest of the skip, with _SEQ_LIMIT fewer outstanding deletions
+    return _SEQ_LIMIT + _skip_d(c1, d - _SEQ_LIMIT, rng)
 
 
 def skip_rp_sequential(c1: int, d: int, rng: random.Random, limit: int) -> int | None:

@@ -491,7 +491,12 @@ def _seeded_digest(k, mode, w_mode, delete_fraction):
 # when a whole pool admitted at capacity went back to an rng.sample, whose
 # random order keeps the event's placements uniform; and the four sr rows
 # once more when sr's skips stopped flipping coins past the event's
-# arrivals and were drawn afresh at the next event.
+# arrivals and were drawn afresh at the next event. The six osr rows were
+# recomputed when osr's reservoir skip came to be drawn by Algorithm Z above
+# a population of 22·M, and past a walk of 64 arrivals below it, and its
+# pairing skip by Method D past its walk: each of these streams takes its
+# population to 99-442·M, where Z draws its skips from other uniforms than
+# the walk did. The walks themselves draw as before.
 SEEDED_DIGESTS = {
     (3, "exact", "exact", 0.0): "257e8987e0512322bb5a2cc844e63d6baacd9000010f1950369595876d7cc1ea",
     (3, "exact", "exact", 0.3): "23baf6f4a5dd237e8173250340542a230ea71a8b95eb50ac73161823e2daec96",
@@ -499,14 +504,14 @@ SEEDED_DIGESTS = {
     (4, "exact", "exact", 0.3): "e0609d00f8284002449a33adc2296f63a676d2f02312b7a1d4ba7db0cba724e3",
     (3, "sr", "exact", 0.0): "9db2435d9124bf4db1125312c843fd527379301465ba9f117e6c0896bc168a3a",
     (3, "sr", "exact", 0.3): "e74909c9508c39ebff656a80898597c82f25a93f2484e61bfa6f8cbd7b45d121",
-    (3, "osr", "exact", 0.0): "c4a39478f7a0bf240266de1023a007432edf371cb6dac4632966a28d829c076d",
-    (3, "osr", "exact", 0.3): "516e5d9ab9733931f45abbf6cf5eefe6d848c7e744c72b601ec7733fbf12d9fe",
-    (3, "osr", "sketch", 0.0): "cdea1c7178aa32d2fa4a2eab4ab4059ebaaa907c942a3b46327dae403e931245",
-    (3, "osr", "sketch", 0.3): "12f35e46311a69d55c18593d817b602992b6cff82501dd35b1a828588e4e11bd",
+    (3, "osr", "exact", 0.0): "cbe9f99d4e8a55076325490f537bbed2ec1eb048def91b900f081de9e0dd82b3",
+    (3, "osr", "exact", 0.3): "8ed1385a94688a7ab977bdfbcb8f343ecb179c2dff2ad34af5312df9b247371a",
+    (3, "osr", "sketch", 0.0): "ec1c942341c4a9d99d8faeed5fecd3decb0c0faa5c1a2a8e60e276d4282b164e",
+    (3, "osr", "sketch", 0.3): "8324ad072e7826e0f3535c63bf29580d9bcaabf51399d5cccbdc9f511b63bad7",
     (4, "sr", "exact", 0.0): "7218dc94878d07c78d16b82dc78fddfc016f553253c5afbf5ba5b73989226573",
     (4, "sr", "exact", 0.3): "76c095a1c1ba00fe5d9dfc382b3322d52032088992d1a28ef7f13280b5b86087",
-    (4, "osr", "exact", 0.0): "b0a499068e2207365c645bd6036eca16ee7f2ce22cb6ea7769d12c5d8d641047",
-    (4, "osr", "exact", 0.3): "810a80a1d69742036dde36031dbf66f15e39028e1ccb4cb2845f7e7dc1784b4c",
+    (4, "osr", "exact", 0.0): "0046c2fff65c08a07ab039d82088349d0b136a4b55b6ddb255820d3f09f9e165",
+    (4, "osr", "exact", 0.3): "f0499452658796d61af88a823f0471f63d0bc0932375b9f9f8af4549da22710a",
 }
 
 

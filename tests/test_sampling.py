@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import statistics
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -16,6 +17,8 @@ from streamfsm.sampling import (
     SHAPES,
     SampleInvariantError,
     SubgraphReservoir,
+    _skip_d,
+    _skip_z,
     class_id,
     keyed_counts,
     pair_slot,
@@ -583,7 +586,7 @@ def test_skip_rs_pmf_chisquare():
 
 
 def test_skip_rs_long_skip_branch():
-    # tiny capacity forces skips past the sequential window
+    # at n = 2500·m Algorithm Z draws every skip, most of them past 64
     rng = random.Random(3)
     draws = [skip_rs(5000, 2, rng) for _ in range(4000)]
     assert max(draws) > 64
@@ -591,6 +594,38 @@ def test_skip_rs_long_skip_branch():
     observed = Counter(draws)
     chi = _chisquare_vs_pmf(observed, trials, _pmf_stream_rs(5000, 2), mass_cutoff=0.995)
     assert chi.pvalue >= 1e-3
+
+
+@pytest.mark.parametrize("n, m", [
+    pytest.param(220, 10, id="walk-then-Z"),
+    pytest.param(230, 10, id="Z-above-22m"),
+    pytest.param(2000, 50, id="Z-at-40m"),
+])
+def test_skip_rs_pmf_chisquare_about_the_switch(n, m):
+    """skip_rs against the exact pmf on each side of the switch to
+    Algorithm Z at 22·m: at n = 22·m the walk runs out in 7% of draws and Z
+    draws the rest of the skip; above it Z draws the whole skip. A correct
+    draw fails this (p < 1e-3) with probability 1e-3 per case."""
+    trials = 200_000
+    rng = random.Random(n + m)
+    observed = Counter(skip_rs(n, m, rng) for _ in range(trials))
+    chi = _chisquare_vs_pmf(observed, trials, _pmf_stream_rs(n, m))
+    assert chi.pvalue >= 1e-3
+
+
+def test_skip_rs_mean_at_default_capacity():
+    """At the default M=283,977 and population 30·M the mean skip is
+    (t - m + 1)/(m - 1), about 29; the sample mean of 200,000 draws lies
+    within 4 standard errors of it, which a correct draw misses with
+    probability about 6e-5 (normal approximation)."""
+    m = 283_977
+    t = 30 * m
+    trials = 200_000
+    rng = random.Random(8)
+    draws = [skip_rs(t, m, rng) for _ in range(trials)]
+    mean = statistics.fmean(draws)
+    stderr = statistics.stdev(draws) / math.sqrt(trials)
+    assert abs(mean - (t - m + 1) / (m - 1)) <= 4 * stderr
 
 
 def test_skip_rp_support_and_points():
@@ -635,6 +670,49 @@ def test_skip_rp_long_branch_matches_sequential():
     table = [[f, s] for f, s in zip(obs_f, obs_s) if f + s > 0]
     chi = stats.chi2_contingency(list(zip(*table)))
     assert chi.pvalue >= 1e-3
+
+
+@pytest.mark.parametrize("c1, d", [(2, 5000), (40, 5000)])
+def test_skip_rp_method_d_chisquare(c1, d):
+    """skip_rp against the exact pmf where the walk mostly runs out and
+    Method D draws the rest of the skip (in 97% of draws at c1=2, 60% at
+    c1=40). A correct draw fails this (p < 1e-3) with probability 1e-3 per
+    case."""
+    trials = 60_000
+    rng = random.Random(c1)
+    observed = Counter(skip_rp(c1, d, rng) for _ in range(trials))
+    chi = _chisquare_vs_pmf(observed, trials, _pmf_stream_rp(c1, d))
+    assert chi.pvalue >= 1e-3
+
+
+@pytest.mark.parametrize("draw, args, pmf_stream", [
+    pytest.param(_skip_z, (74, 10), _pmf_stream_rs, id="Z"),
+    pytest.param(_skip_d, (10, 30), _pmf_stream_rp, id="D"),
+])
+def test_rejection_step_where_the_envelope_is_loose(draw, args, pmf_stream):
+    """Algorithm Z and Method D on their own, at states a walk that runs out
+    can hand over and where the envelope lies well above the pmf (c = 1.15
+    for Z at t=74, m=10; c = 1.43 for D at 10 picks among 30), so that a
+    wrong acceptance step shows: floor(X) taken unrejected fails here. A
+    correct draw fails this (p < 1e-3) with probability 1e-3 per case."""
+    trials = 60_000
+    rng = random.Random(args[0])
+    observed = Counter(draw(*args, rng) for _ in range(trials))
+    chi = _chisquare_vs_pmf(observed, trials, pmf_stream(*args))
+    assert chi.pvalue >= 1e-3
+
+
+def test_skip_walk_draws_are_pinned():
+    """A skip below _SEQ_LIMIT (and, for skip_rs, at n <= 22·m) is settled
+    by the walk on one uniform, and these are the walk's values: Algorithm Z
+    and Method D draw nothing for it, so seeded osr output on streams whose
+    skips all end in the walk stays byte-identical. Deterministic."""
+    rng = random.Random(2021)
+    assert [skip_rs(50, 10, rng) for _ in range(8)] == [8, 9, 3, 1, 4, 19, 3, 0]
+    assert [skip_rs(2200, 100, rng) for _ in range(8)] == [6, 13, 53, 3, 38, 29, 24, 17]
+    assert [skip_rp(3, 10, rng) for _ in range(8)] == [0, 3, 1, 0, 4, 1, 7, 3]
+    assert [skip_rp(40, 400, rng) for _ in range(8)] == [3, 3, 4, 4, 1, 2, 36, 5]
+    assert rng.random() == 0.11577783262449537
 
 
 def _counting(rng):
