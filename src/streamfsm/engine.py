@@ -28,10 +28,10 @@ from .rng import substream, substream_seed
 from .sampling import (
     CLASS_KEYS,
     CLASS_TEXTS,
-    CODE_RADIX,
     SHAPES,
     SampleInvariantError,
     SubgraphReservoir,
+    build_members,
     keyed_counts,
     pair_slot,
     shape_key,
@@ -39,7 +39,6 @@ from .sampling import (
     skip_rp_sequential,
     skip_rs,
     skip_rs_sequential,
-    vertex_code,
 )
 from .sketch import SketchStore, VertexHasher
 from .stream import StreamEvent
@@ -192,38 +191,6 @@ def snapshot_lines(estimate: FrequencyEstimate, report: FrequentReport) -> list[
     for key, share in report.entries:
         lines.append(f"{key.text()}\t{share:.10g}")
     return lines
-
-
-def _triple_member(nu, nv, labels, u, lu, v, lv, le, w) -> tuple[int, tuple]:
-    """The (code, shape) columns of the member over {u, v, w}, with the edge
-    (u, v) labelled ``le`` (None: absent) and the edges to w read off the
-    adjacency ``nu`` of u and ``nv`` of v: the single builder of size-3
-    sample members. The code is ``vertex_code`` of the sorted ids, the shape
-    the ``SHAPES`` record of the key laid out in that order."""
-    x = CODE_RADIX
-    lw = labels[w]
-    e_uw = nu.get(w)
-    e_vw = nv.get(w)
-    if u < v:
-        if v < w:
-            code = (u * x + v) * x + w
-            key = (lu, lv, lw, le, e_uw, e_vw)
-        elif u < w:
-            code = (u * x + w) * x + v
-            key = (lu, lw, lv, e_uw, le, e_vw)
-        else:
-            code = (w * x + u) * x + v
-            key = (lw, lu, lv, e_uw, e_vw, le)
-    elif u < w:
-        code = (v * x + u) * x + w
-        key = (lv, lu, lw, le, e_vw, e_uw)
-    elif v < w:
-        code = (v * x + w) * x + u
-        key = (lv, lw, lu, e_vw, le, e_uw)
-    else:
-        code = (w * x + v) * x + u
-        key = (lw, lv, lu, e_vw, e_uw, le)
-    return code, SHAPES[key]
 
 
 class _EngineBase:
@@ -431,19 +398,6 @@ class SamplingEngine(_EngineBase):
         # across events; None until the first arrival after an admission,
         # and after a draw that admitted none of the arrivals at hand
         self.rs_pending: int | None = None
-        # the (code, shape) builder of a member as the event leaves it,
-        # admitted or updated, called with the adjacency and labels of the
-        # edge's endpoints, the edge's label (None once deleted) and the
-        # member's third vertex (k=3) or vertex set
-        if self.k == 3:
-            self._member = _triple_member
-        else:
-            adj = self.graph.adj
-
-            def member(nu, nv, labels, u, lu, v, lv, le, vs) -> tuple[int, tuple]:
-                return vertex_code(vs), SHAPES[shape_key(adj, labels, vs)]
-
-            self._member = member
 
     @property
     def population(self) -> int:
@@ -476,7 +430,7 @@ class SamplingEngine(_EngineBase):
             self.sketches.on_edge_added(u, v)
         sets, created, groups = self._event_sets(u, v)
         modified = self._update_members(u, v, sets)[0]
-        admitted = self._admit(u, v, le, created, groups)
+        admitted = self._admit(u, v, created, groups)
         return EventStats(created, 0, modified, admitted)
 
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
@@ -494,7 +448,7 @@ class SamplingEngine(_EngineBase):
                     "exact deletion delta below the sampled-destruction count"
                 )
             destroyed = dropped  # sampled destructions are known exactly
-        # remove_destroyed already accounted the c1 side
+        # the member update already accounted the c1 side
         res.c2 += destroyed - dropped
         res.n_population -= destroyed
         if res.n_population < len(res.codes):
@@ -533,25 +487,10 @@ class SamplingEngine(_EngineBase):
         if not hits:
             return 0, 0
         g = self.graph
-        nu = g.adj[u]
-        nv = g.adj[v]
-        labels = g.labels
-        lu = labels[u]
-        lv = labels[v]
-        le = nu.get(v)
-        member = self._member
-        modified = dropped = 0
-        for code, x in hits:
-            # the member's shape after the event; a None class id means the
-            # change left it disconnected
-            shape = member(nu, nv, labels, u, lu, v, lv, le, x)[1]
-            if shape[2] is None:
-                res.remove_destroyed(code)
-                dropped += 1
-            else:
-                res.replace_modified(code, shape)
-                modified += 1
-        return modified, dropped
+        # each member's shape after the event; a None class id means the
+        # change left it disconnected
+        dropped = res.update(*build_members(g.adj, g.labels, u, v, self.k, [x for _, x in hits]))
+        return len(hits) - dropped, dropped
 
     def _consume_arrivals(self, count: int) -> int:
         """Run ``count`` new-subgraph arrivals through the admission step.
@@ -615,7 +554,7 @@ class SamplingEngine(_EngineBase):
                 admitted += 1
         return admitted
 
-    def _admit(self, u: int, v: int, le: int, count: int, groups) -> int:
+    def _admit(self, u: int, v: int, count: int, groups) -> int:
         """Offer the ``count`` k-sets that the edge (u, v) newly connected,
         listed in ``groups`` (see ``_event_sets``), and place the admitted
         ones, drawn uniformly among them. Returns the admissions."""
@@ -637,16 +576,7 @@ class SamplingEngine(_EngineBase):
             chosen = pool
         else:
             chosen = rng.sample(pool, min(admissions, len(pool)))
-        member = self._member
-        place = res.place
-        nu = g.adj[u]
-        nv = g.adj[v]
-        labels = g.labels
-        lu = labels[u]
-        lv = labels[v]
-        for x in chosen:
-            code, shape = member(nu, nv, labels, u, lu, v, lv, le, x)
-            place(code, shape, rng)
+        res.place(*build_members(g.adj, g.labels, u, v, self.k, chosen), rng)
         return len(chosen)
 
 

@@ -137,6 +137,46 @@ def pair_slot(k: int, i: int, j: int) -> int:
     return k + i * (2 * k - i - 1) // 2 + j - i - 1
 
 
+def build_members(adj: dict[int, dict], labels: dict[int, int], u: int, v: int, k: int,
+                  members) -> tuple[list[int], list[tuple]]:
+    """The aligned ``(codes, shapes)`` columns of an event's k-set members
+    over the pair (u, v), as the graph given by its adjacency and labels
+    holds them: the single builder of sample members. At k=3 ``members``
+    are third vertices, else ascending vertex sets. A code is the
+    ``vertex_code`` of the sorted ids, a shape the ``SHAPES`` record of the
+    key laid out in that order."""
+    if k != 3:
+        return ([vertex_code(vs) for vs in members],
+                [SHAPES[shape_key(adj, labels, vs)] for vs in members])
+    lo, hi = (u, v) if u < v else (v, u)
+    n_lo = adj[lo]
+    n_hi = adj[hi]
+    l_lo = labels[lo]
+    l_hi = labels[hi]
+    le = n_lo.get(hi)
+    # a third vertex w above, between or below the pair: see
+    # members_containing_pair
+    x = CODE_RADIX
+    below = lo * x + hi
+    between = lo * _RADIX2 + hi
+    above = below * x
+    table = SHAPES
+    codes = []
+    shapes = []
+    for w in members:
+        lw = labels[w]
+        if w > hi:
+            codes.append(above + w)
+            shapes.append(table[l_lo, l_hi, lw, le, n_lo.get(w), n_hi.get(w)])
+        elif w > lo:
+            codes.append(between + w * x)
+            shapes.append(table[l_lo, lw, l_hi, n_lo.get(w), le, n_hi.get(w)])
+        else:
+            codes.append(below + w * _RADIX2)
+            shapes.append(table[lw, l_lo, l_hi, n_lo.get(w), n_hi.get(w), le])
+    return codes, shapes
+
+
 def _member(code: int, shape: tuple) -> SubgraphInstance:
     labels = shape[0]
     return SubgraphInstance(decode_vertices(code, len(labels)), labels, shape[1])
@@ -265,71 +305,93 @@ class SubgraphReservoir:
         else:
             del counts[cid]
 
-    def _add(self, code: int, shape: tuple) -> None:
-        pos = self._pos
-        codes = self.codes
-        n = len(codes)
-        if pos.setdefault(code, n) != n:
-            vs = decode_vertices(code, len(shape[0]))
-            raise SampleInvariantError(f"subgraph {vs} already sampled")
-        codes.append(code)
-        self.shapes.append(shape)
-        counts = self.counts
-        cid = shape[2]
-        counts[cid] = counts.get(cid, 0) + 1
-
-    def _remove_at(self, idx: int) -> None:
-        codes = self.codes
-        shapes = self.shapes
-        pos = self._pos
-        del pos[codes[idx]]
-        self._uncount(shapes[idx][2])
-        last = codes.pop()
-        last_shape = shapes.pop()
-        if idx < len(codes):
-            codes[idx] = last
-            shapes[idx] = last_shape
-            pos[last] = idx
-
-    def _slot_of(self, code: int) -> int:
-        idx = self._pos.get(code)
-        if idx is None:
-            raise SampleInvariantError(f"subgraph with code {code} is not in the sample")
-        return idx
-
-    def remove_destroyed(self, code: int) -> None:
-        """Drop a destroyed sampled subgraph, growing c1.
+    def update(self, codes: list[int], shapes: list[tuple]) -> int:
+        """Give the sampled members ``codes`` the ``shapes`` an event left
+        them with, in place, and drop those it left disconnected (class id
+        None), growing c1. Returns the number dropped.
 
         Population accounting is the caller's, which applies a deletion's
         delta in bulk.
         """
-        self._remove_at(self._slot_of(code))
-        self.c1 += 1
-
-    def replace_modified(self, code: int, shape: tuple) -> None:
-        """Give a sampled member the shape of its modified version, in place.
-
-        Same vertex set, different induced edges; the class counts follow
-        the new class, the population counters do not change.
-        """
-        idx = self._slot_of(code)
-        shapes = self.shapes
-        self._uncount(shapes[idx][2])
+        pos = self._pos
+        col_codes = self.codes
+        col_shapes = self.shapes
         counts = self.counts
-        cid = shape[2]
-        counts[cid] = counts.get(cid, 0) + 1
-        shapes[idx] = shape
+        dropped = 0
+        for code, shape in zip(codes, shapes):
+            idx = pos.get(code)
+            if idx is None:
+                raise SampleInvariantError(f"subgraph with code {code} is not in the sample")
+            self._uncount(col_shapes[idx][2])
+            cid = shape[2]
+            if cid is None:
+                # swap-remove: the last slot fills the hole
+                del pos[code]
+                last = col_codes.pop()
+                last_shape = col_shapes.pop()
+                if idx < len(col_codes):
+                    col_codes[idx] = last
+                    col_shapes[idx] = last_shape
+                    pos[last] = idx
+                dropped += 1
+            else:
+                counts[cid] = counts.get(cid, 0) + 1
+                col_shapes[idx] = shape
+        self.c1 += dropped
+        return dropped
 
-    # Placement of an admitted arrival; the engine has taken the admission
-    # decision (by a coin or a skip counter).
+    # Placement of an event's admitted arrivals; the engine has taken the
+    # admission decisions (by coins or skip counters).
 
-    def place(self, code: int, shape: tuple, rng: random.Random) -> None:
-        """Store an admitted member: in a free slot while one is left, else
-        in place of a uniformly random member. A pairing admission always
-        finds a free slot (see ``pay_hit``)."""
-        if len(self.codes) >= self.capacity:
-            self._remove_at(rng.randrange(self.capacity))
-        self._add(code, shape)
+    def place(self, codes: list[int], shapes: list[tuple], rng: random.Random) -> None:
+        """Store an event's admitted members, aligned ``codes`` and
+        ``shapes`` in the order drawn: the head that fits into the free
+        slots, each member after it in place of a uniformly random member,
+        one ``rng.randrange(capacity)`` per member in order. A pairing
+        admission always finds a free slot (see ``pay_hit``). Raises on a
+        code already sampled or given twice, an upstream bug after which
+        the reservoir is not to be used."""
+        pos = self._pos
+        col_codes = self.codes
+        col_shapes = self.shapes
+        counts = self.counts
+        n = len(col_codes)
+        free = self.capacity - n
+        head = codes[:free]
+        if head:
+            head_shapes = shapes[:free]
+            pos.update(zip(head, range(n, n + len(head))))
+            col_codes.extend(head)
+            col_shapes.extend(head_shapes)
+            if len(pos) != len(col_codes):
+                raise SampleInvariantError("an admitted subgraph is already sampled")
+            for shape in head_shapes:
+                cid = shape[2]
+                counts[cid] = counts.get(cid, 0) + 1
+        if len(codes) <= free:
+            return
+        randrange = rng.randrange
+        cap = self.capacity
+        uncount = self._uncount
+        for code, shape in zip(codes[free:], shapes[free:]):
+            idx = randrange(cap)
+            old = col_codes[idx]
+            if code == old or code in pos:
+                raise SampleInvariantError("an admitted subgraph is already sampled")
+            # swap-remove the victim, append the newcomer
+            del pos[old]
+            uncount(col_shapes[idx][2])
+            last = col_codes.pop()
+            last_shape = col_shapes.pop()
+            if idx < len(col_codes):
+                col_codes[idx] = last
+                col_shapes[idx] = last_shape
+                pos[last] = idx
+            pos[code] = len(col_codes)
+            col_codes.append(code)
+            col_shapes.append(shape)
+            cid = shape[2]
+            counts[cid] = counts.get(cid, 0) + 1
 
     def pay_hit(self) -> None:
         """Pay off one deletion that hit the sample, for a pairing admission.

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 import pytest
 from scipy import stats
 
-from streamfsm.engine import EngineConfig, _triple_member, build_engine
+from streamfsm.engine import EngineConfig, build_engine
 from streamfsm.graph import DynamicLabeledGraph, SubgraphInstance, is_connected
 from streamfsm.stream import generate_stream
 from streamfsm.pattern import PatternKey, canonical_key
@@ -19,6 +19,7 @@ from streamfsm.sampling import (
     SubgraphReservoir,
     _skip_d,
     _skip_z,
+    build_members,
     class_id,
     keyed_counts,
     pair_slot,
@@ -38,17 +39,24 @@ def _inst(*vertices):
     return SubgraphInstance(vs, (0,) * len(vs), tuple((i, i + 1, 0) for i in range(len(vs) - 1)))
 
 
-def _columns(inst):
-    """The (code, shape) columns of ``inst``: its code and its record in the
-    shared shape table."""
-    pair_labels = {(i, j): lab for i, j, lab in inst.edges}
-    pairs = combinations(range(len(inst.vertices)), 2)
-    key = inst.vertex_labels + tuple(pair_labels.get(p) for p in pairs)
-    return vertex_code(inst.vertices), SHAPES[key]
+def _columns(*insts):
+    """The aligned (codes, shapes) columns of ``insts``: each one's code and
+    its record in the shared shape table."""
+    codes, shapes = [], []
+    for inst in insts:
+        pair_labels = {(i, j): lab for i, j, lab in inst.edges}
+        pairs = combinations(range(len(inst.vertices)), 2)
+        codes.append(vertex_code(inst.vertices))
+        shapes.append(SHAPES[inst.vertex_labels + tuple(pair_labels.get(p) for p in pairs)])
+    return codes, shapes
 
 
 def _place(res, inst):
     res.place(*_columns(inst), random.Random(0))
+
+
+# the record of a size-3 set without edges: an update to it drops the member
+EDGELESS = SHAPES[0, 0, 0, None, None, None]
 
 
 # The admission rules live in SamplingEngine._consume_arrivals, shared by
@@ -215,12 +223,12 @@ def test_replace_modified_neutral():
     _place(res, wedge)
     snapshot = (len(res.codes), res.n_population, res.c1, res.c2)
     tri = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (0, 2, 0), (1, 2, 0)))
-    res.replace_modified(*_columns(tri))
+    assert res.update(*_columns(tri)) == 0
     assert (len(res.codes), res.n_population, res.c1, res.c2) == snapshot
     assert res.slots[0] == tri
     res.verify()
     with pytest.raises(SampleInvariantError):
-        res.replace_modified(*_columns(_inst(7, 8, 9)))
+        res.update(*_columns(_inst(7, 8, 9)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -247,9 +255,11 @@ def test_shape_records_match_the_oracle(k):
                 assert key[pair_slot(k, i, j)] == g.edge_label(vs[i], vs[j])
             if k == 3:
                 for u, v, w in permutations(vs):
-                    got = _triple_member(adj[u], adj[v], labels, u, labels[u], v, labels[v],
-                                         adj[u].get(v), w)
-                    assert got[0] == vertex_code(vs) and got[1] is rec
+                    got = build_members(adj, labels, u, v, 3, [w])
+                    assert got == ([vertex_code(vs)], [rec]) and got[1][0] is rec
+            else:
+                got = build_members(adj, labels, vs[0], vs[1], k, [vs])
+                assert got == ([vertex_code(vs)], [rec]) and got[1][0] is rec
 
 
 def _pairs(*vertex_sets):
@@ -380,10 +390,10 @@ def test_counts_follow_placements():
     res.n_population = 1
     _place(res, wedge)
     assert res.counts == {class_id(canonical_key(wedge)): 1}
-    res.replace_modified(*_columns(tri))
+    res.update(*_columns(tri))
     assert keyed_counts(res.counts) == {canonical_key(tri): 1}
     assert [CLASS_KEYS[shape[2]] for shape in res.shapes] == [canonical_key(tri)]
-    res.remove_destroyed(vertex_code((1, 2, 3)))
+    assert res.update([vertex_code((1, 2, 3))], [EDGELESS]) == 1
     assert res.counts == {} and res.shapes == [] and res.codes == []
     assert res.c1 == 1 and len(res.codes) == 0
     res.verify()
@@ -429,7 +439,7 @@ def test_index_exact_after_random_ops(rng):
     regimes = set()
     for step in range(400):
         if res.codes and rng.random() < 0.35:
-            res.remove_destroyed(rng.choice(res.codes))
+            assert res.update([rng.choice(res.codes)], [EDGELESS]) == 1
         else:
             vs = tuple(sorted(rng.sample(range(n), 3)))
             if vertex_code(vs) in res.codes:
@@ -502,16 +512,17 @@ def test_size3_sample_is_invisible_to_the_collector():
     fill, later = triples[:50_000], triples[50_000:51_000]
     res = SubgraphReservoir(len(fill), {})
     res.n_population = len(fill)
-    # u-w edges labelled 0, no v-w edges, every vertex labelled 0
+    # every vertex and every edge of a complete graph labelled 0
     zeros = dict.fromkeys(range(3000), 0)
+    adj = dict.fromkeys(range(3000), zeros)
     before = _tracked()
     for u, v, w in fill:
-        res.place(*_triple_member(zeros, {}, zeros, u, 0, v, 0, 0, w), rng)
+        res.place(*build_members(adj, zeros, u, v, 3, [w]), rng)
     assert _tracked() - before < 20
     before = _tracked()
     for u, v, w in later:
         res.n_population += 1
-        res.place(*_triple_member(zeros, {}, zeros, u, 0, v, 0, 0, w), rng)
+        res.place(*build_members(adj, zeros, u, v, 3, [w]), rng)
     assert _tracked() <= before
 
 
