@@ -376,20 +376,13 @@ class SubgraphReservoir:
         for code, shape in zip(codes[free:], shapes[free:]):
             idx = randrange(cap)
             old = col_codes[idx]
-            if code == old or code in pos:
+            # the newcomer takes the victim's slot
+            if code == old or pos.setdefault(code, idx) != idx:
                 raise SampleInvariantError("an admitted subgraph is already sampled")
-            # swap-remove the victim, append the newcomer
             del pos[old]
+            col_codes[idx] = code
             uncount(col_shapes[idx][2])
-            last = col_codes.pop()
-            last_shape = col_shapes.pop()
-            if idx < len(col_codes):
-                col_codes[idx] = last
-                col_shapes[idx] = last_shape
-                pos[last] = idx
-            pos[code] = len(col_codes)
-            col_codes.append(code)
-            col_shapes.append(shape)
+            col_shapes[idx] = shape
             cid = shape[2]
             counts[cid] = counts.get(cid, 0) + 1
 
@@ -547,10 +540,11 @@ def skip_rp(c1: int, d: int, rng: random.Random) -> int:
     bound = d - c1
     if bound == 0:
         return 0
+    walk = min(_SEQ_LIMIT, bound)
     v = 1.0 - rng.random()
     tail = 1.0
     z = 0
-    while z < min(_SEQ_LIMIT, bound):
+    while z < walk:
         tail *= (d - z - c1) / (d - z)  # Pr[skip >= z+1]
         if tail <= v:
             return z

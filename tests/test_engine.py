@@ -496,22 +496,28 @@ def _seeded_digest(k, mode, w_mode, delete_fraction):
 # a population of 22·M, and past a walk of 64 arrivals below it, and its
 # pairing skip by Method D past its walk: each of these streams takes its
 # population to 99-442·M, where Z draws its skips from other uniforms than
-# the walk did. The walks themselves draw as before.
+# the walk did. The walks themselves draw as before. All ten sr and osr rows
+# were recomputed when an admission at capacity came to take its victim's
+# slot in place, instead of the last slot moving into the victim's and the
+# newcomer going last: every draw is the same, but a later
+# randrange(capacity) then picks another member. The samples stay uniform
+# given their size. Building, placing and updating an event's members as
+# batches, with the old eviction, had left all fourteen rows unchanged.
 SEEDED_DIGESTS = {
     (3, "exact", "exact", 0.0): "257e8987e0512322bb5a2cc844e63d6baacd9000010f1950369595876d7cc1ea",
     (3, "exact", "exact", 0.3): "23baf6f4a5dd237e8173250340542a230ea71a8b95eb50ac73161823e2daec96",
     (4, "exact", "exact", 0.0): "7a1de3fd60c59458ef8a8f87200447b10b8fb5839181e01b6fbd597e1314da17",
     (4, "exact", "exact", 0.3): "e0609d00f8284002449a33adc2296f63a676d2f02312b7a1d4ba7db0cba724e3",
-    (3, "sr", "exact", 0.0): "9db2435d9124bf4db1125312c843fd527379301465ba9f117e6c0896bc168a3a",
-    (3, "sr", "exact", 0.3): "e74909c9508c39ebff656a80898597c82f25a93f2484e61bfa6f8cbd7b45d121",
-    (3, "osr", "exact", 0.0): "cbe9f99d4e8a55076325490f537bbed2ec1eb048def91b900f081de9e0dd82b3",
-    (3, "osr", "exact", 0.3): "8ed1385a94688a7ab977bdfbcb8f343ecb179c2dff2ad34af5312df9b247371a",
-    (3, "osr", "sketch", 0.0): "ec1c942341c4a9d99d8faeed5fecd3decb0c0faa5c1a2a8e60e276d4282b164e",
-    (3, "osr", "sketch", 0.3): "8324ad072e7826e0f3535c63bf29580d9bcaabf51399d5cccbdc9f511b63bad7",
-    (4, "sr", "exact", 0.0): "7218dc94878d07c78d16b82dc78fddfc016f553253c5afbf5ba5b73989226573",
-    (4, "sr", "exact", 0.3): "76c095a1c1ba00fe5d9dfc382b3322d52032088992d1a28ef7f13280b5b86087",
-    (4, "osr", "exact", 0.0): "0046c2fff65c08a07ab039d82088349d0b136a4b55b6ddb255820d3f09f9e165",
-    (4, "osr", "exact", 0.3): "f0499452658796d61af88a823f0471f63d0bc0932375b9f9f8af4549da22710a",
+    (3, "sr", "exact", 0.0): "3c6b2e79ca2f3fb529366d5e1078bcc3ca13ee6f236b4eb39569d8ba6f4db94a",
+    (3, "sr", "exact", 0.3): "1cff3d7a27b2e5aa3fd61ee9cffac65330fd3512d282b2ae32220d1db4223207",
+    (3, "osr", "exact", 0.0): "a5ab5b0730bcd2735a7c3b49301ee7f7265c4ee5946f93828c3dd330288f7908",
+    (3, "osr", "exact", 0.3): "a5f1ffed49efa29970e875af7858bf7d7fb291e25a753a37fecc34dff6c40531",
+    (3, "osr", "sketch", 0.0): "45ac53dbd69958aa4bb34c5450e24a7bd91b8096052bad5e4c7442a315317726",
+    (3, "osr", "sketch", 0.3): "46b504e3361de43dd810defa4b95f9167528b2d895bf2b85afd7c9241dce94f2",
+    (4, "sr", "exact", 0.0): "5bde5d577729b55be6f9d266ff14f8825a1fbeef3233436a8c3498050ca3dff5",
+    (4, "sr", "exact", 0.3): "8ce7943dc5b96a69e7f3fb176b6ecb42f52d3886d024c3c09869e77793fe79a4",
+    (4, "osr", "exact", 0.0): "bbe7ecf393393f457100a1305834ec588f74a87f289c7ac5a96f9dfaaeb2ff8a",
+    (4, "osr", "exact", 0.3): "a037c57020e40225111730edc52ad7293b3c8f0fef32f168c7e8ed6e9cdd734c",
 }
 
 
