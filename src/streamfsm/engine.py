@@ -567,11 +567,13 @@ class SamplingEngine(_EngineBase):
         pool = [*groups[0], *groups[1]]
         rng = self.rng
         res = self.reservoir
-        # a whole pool that fits in the free slots is placed without a draw.
-        # Otherwise the admitted sets are drawn in random order: a placement
-        # that evicts may evict an earlier one of the same event, so a fixed
-        # order would favour the sets placed last. A sketch estimate above
-        # the real pool drops the surplus admissions.
+        # the chosen sets are placed as one batch: the head fills the free
+        # slots, each set after it takes a random member's slot. A whole pool
+        # that fits in the free slots is placed without a draw. Otherwise the
+        # sets are drawn in random order: an eviction may hit an earlier set
+        # of the same event, so a fixed order would favour the sets placed
+        # last. A sketch estimate above the real pool drops the surplus
+        # admissions.
         if admissions >= len(pool) and len(res.codes) + len(pool) <= res.capacity:
             chosen = pool
         else:

@@ -1,26 +1,27 @@
 """Fixed-capacity subgraph sample storage and the skip-counter generators.
 
 The reservoir stores the sample and the counters that keep it uniform over
-the connected k-subgraph population: N, and the c1/c2 split of the
-deletions that later insertions must pair with. It places admitted members
-by one rule, a free slot while one is left, else a uniformly random one, and
-pays the pairing debt; the admission decisions (the classic reservoir step
-and the pairing step, each counting off skips drawn by a coin per arrival or
-in one draw) live in the sampling engine. A one-shot skip costs O(1)
-expected time whatever N/M is: a short walk of its survival product, then
-Vitter's Algorithm Z (reservoir) or Method D (pairing) for the rest.
-Per-class counts kept beside the slots make a frequency report cost
-O(pattern classes), not O(sample size). The sample is held in columns of
-ints and shared records, so a full sample adds no work to the garbage
-collector, and a placement is small-int work on the columns, a code -> slot
-map and the class-id counts. The records come from one shape table for every
-k (``SHAPES``): a set's key is its vertex labels in ascending-id order, then
-the label of each position pair (i, j), i < j, in lexicographic order (None
-for an absent edge), and every member of one key shares one record, so only
-a key the table has not seen is canonicalised. Nothing is kept per vertex:
-the members an edge event touches are among the event's candidate sets, read
-off the graph's adjacency, and the pair lookup probes the code -> slot map
-with their codes.
+the connected k-subgraph population: N, and the c1/c2 split of the deletions
+that later insertions must pair with. It places an event's admitted members
+by one rule, a free slot while one is left, else the slot of a uniformly
+random member, overwritten in place, and pays the pairing debt; the
+admission decisions (the classic reservoir step and the pairing step, each
+counting off skips drawn by a coin per arrival or in one draw) live in the
+sampling engine. A one-shot skip costs O(1) expected time whatever N/M is: a
+short walk of its survival product, then Vitter's Algorithm Z (reservoir) or
+Method D (pairing) for the rest. Per-class counts kept beside the slots make
+a frequency report cost O(pattern classes), not O(sample size). The sample
+is held in columns of ints and shared records, so a full sample adds no work
+to the garbage collector, and an event's members are built, placed and
+updated as one batch of columns (``build_members``, ``place``, ``update``):
+small-int work on the columns, a code -> slot map and the class-id counts.
+The records come from one shape table for every k (``SHAPES``): a set's key
+is its vertex labels in ascending-id order, then the label of each position
+pair (i, j), i < j, in lexicographic order (None for an absent edge), and
+every member of one key shares one record, so only a key the table has not
+seen is canonicalised. Nothing is kept per vertex: the members an edge event
+touches are among the event's candidate sets, read off the graph's
+adjacency, and the pair lookup probes the code -> slot map with their codes.
 """
 
 from __future__ import annotations
@@ -228,8 +229,10 @@ class SubgraphReservoir:
     ints, and a shared shape record is one object however many members use
     it. ``slots`` builds ``SubgraphInstance`` members on access. All members
     of one reservoir have the same size (codes of different sizes collide).
-    Placements take a member as its ``(code, shape)`` pair and touch only
-    the columns, the position map and the counts.
+    ``place`` and ``update`` take an event's members as aligned code and
+    shape lists (``build_members``) and touch only the columns, the
+    position map and the counts. An eviction overwrites its victim's slot;
+    only a drop moves a member, the last one, into the hole.
     """
 
     __slots__ = ("capacity", "codes", "shapes", "counts", "n_population", "c1", "c2",

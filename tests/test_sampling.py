@@ -138,12 +138,113 @@ def test_event_admissions_at_capacity_are_uniform(mode):
     assert stats.chisquare(list(kept.values()), [trials / 3] * 3).pvalue >= 1e-3
 
 
+@pytest.mark.parametrize("capacity", [1, 2])
+@pytest.mark.parametrize("mode", ["sr", "osr"])
+def test_sample_is_uniform_given_its_size(mode, capacity):
+    """After every event the sample is a uniform s-subset of the live
+    3-sets given its size s (Gemulla, Lehner & Haas, "A Dip in the
+    Reservoir", VLDB 2006), a joint law the marginal inclusion tests can
+    miss. 20,000 seeded runs over a 22-event dynamic stream (N up to 24);
+    for each event and each size s seen in at least 20 runs per s-subset,
+    a chi-square test over all C(N, s) subsets (19 tests at M=1 and 28 at
+    M=2 with these seeds). The Bonferroni bound 1e-3 over a row's tests
+    makes a correct change of the draws fail a row with probability at most
+    1e-3. A fixed placement order at capacity fails every row with
+    p < 1e-150, and a victim drawn from all slots but the last fails the
+    M=2 rows with p = 0 (and M=1 with an empty randrange)."""
+    events = generate_stream(8, 16, 1, 1, model="uniform", delete_fraction=0.4, seed=3)
+    runs = 20_000
+    seen = [Counter() for _ in events]
+    for seed in range(runs):
+        eng = build_engine(EngineConfig(mode=mode, dynamic=True, sample_size=capacity,
+                                        seed=seed))
+        codes = eng.reservoir.codes
+        for ev, counter in zip(events, seen):
+            eng.process_event(ev)
+            counter[frozenset(codes)] += 1
+    pvalues = []
+    g = DynamicLabeledGraph()
+    for ev, counter in zip(events, seen):
+        if ev.op == "+":
+            g.add_edge(ev.u, ev.label_u, ev.v, ev.label_v, ev.label_e)
+        else:
+            g.delete_edge(ev.u, ev.v)
+        live = {vertex_code(vs) for vs in g.connected_k_sets(3)}
+        by_size = Counter()
+        for subset, c in counter.items():
+            assert subset <= live
+            by_size[len(subset)] += c
+        for s, n_s in by_size.items():
+            cells = math.comb(len(live), s)
+            if cells > 1 and n_s >= 20 * cells:
+                observed = [c for subset, c in counter.items() if len(subset) == s]
+                observed += [0] * (cells - len(observed))
+                pvalues.append(stats.chisquare(observed).pvalue)
+    assert len(pvalues) >= 15
+    assert min(pvalues) * len(pvalues) >= 1e-3, min(pvalues)
+
+
 def test_duplicate_insert_rejected():
     res = SubgraphReservoir(3, {})
     res.n_population = 2
     _place(res, _inst(1, 2, 3))
     with pytest.raises(SampleInvariantError):
         _place(res, _inst(1, 2, 3))
+
+
+def test_place_fills_free_slots_then_evicts_in_place():
+    """A batch that fits goes into the free slots in order with no draw. In
+    a batch larger than the free slots, the head is appended in order and
+    each member after it costs one randrange(capacity), in order, and takes
+    the slot drawn, a head member's included."""
+    res = SubgraphReservoir(6, {})
+    res.n_population = 12
+    rng = random.Random(5)
+    state = rng.getstate()
+    res.place(*_columns(*(_inst(i, i + 1, i + 2) for i in (0, 3, 6))), rng)
+    assert rng.getstate() == state
+    batch = [_inst(i, i + 1, i + 2) for i in (9, 12, 15, 18, 21, 24)]
+    codes, shapes = _columns(*batch)
+    mirror = random.Random()
+    mirror.setstate(state)
+    victims = [mirror.randrange(6) for _ in range(3)]
+    assert max(victims) >= 3  # the seed lets a head member be evicted
+    want = [*res.codes, *codes[:3]]
+    for code, idx in zip(codes[3:], victims):
+        want[idx] = code
+    res.place(codes, shapes, rng)
+    assert res.codes == want and rng.getstate() == mirror.getstate()
+    res.verify()
+
+
+def test_place_rejects_duplicate_codes():
+    """A code given twice in one batch, or already sampled, raises, into
+    free slots and at capacity alike (also when the victim drawn is the
+    sampled copy)."""
+    a, b, c = _inst(1, 2, 3), _inst(4, 5, 6), _inst(7, 8, 9)
+    for capacity, first, batch in ((5, [], [a, b, a]), (5, [a], [b, a]), (1, [a], [b, b]),
+                                   (2, [a, c], [a])):
+        for seed in range(4):
+            res = SubgraphReservoir(capacity, {})
+            res.n_population = 9
+            res.place(*_columns(*first), random.Random(seed))
+            with pytest.raises(SampleInvariantError):
+                res.place(*_columns(*batch), random.Random(seed))
+
+
+def test_update_reshapes_and_drops_in_one_batch():
+    """One update batch that mixes drops and reshapes leaves consistent
+    columns, counts that match the slots and c1 grown by the drops."""
+    res = _filled((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
+    tri = SubgraphInstance((1, 2, 3), (0, 0, 0), ((0, 1, 0), (0, 2, 0), (1, 2, 0)))
+    codes, shapes = _columns(tri, _inst(4, 5, 6), _inst(10, 11, 12), _inst(7, 8, 9))
+    shapes[1] = shapes[3] = EDGELESS
+    assert res.update(codes, shapes) == 2
+    res.verify()
+    assert sorted(m.vertices for m in res.slots) == [(1, 2, 3), (10, 11, 12)]
+    assert res.slots[res.codes.index(vertex_code((1, 2, 3)))] == tri
+    assert res.counts == Counter(shape[2] for shape in res.shapes)
+    assert res.c1 == 2
 
 
 def _indebted_engine(capacity, occupancy, c1, c2, seed=1, mode="sr"):
