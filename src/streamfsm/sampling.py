@@ -359,9 +359,10 @@ class SubgraphReservoir:
         col_shapes = self.shapes
         counts = self.counts
         n = len(col_codes)
-        free = self.capacity - n
-        head = codes[:free]
-        if head:
+        cap = self.capacity
+        free = cap - n
+        if free:
+            head = codes[:free]
             head_shapes = shapes[:free]
             pos.update(zip(head, range(n, n + len(head))))
             col_codes.extend(head)
@@ -371,12 +372,13 @@ class SubgraphReservoir:
             for shape in head_shapes:
                 cid = shape[2]
                 counts[cid] = counts.get(cid, 0) + 1
-        if len(codes) <= free:
-            return
+            if len(codes) <= free:
+                return
+            codes = codes[free:]
+            shapes = shapes[free:]
         randrange = rng.randrange
-        cap = self.capacity
         uncount = self._uncount
-        for code, shape in zip(codes[free:], shapes[free:]):
+        for code, shape in zip(codes, shapes):
             idx = randrange(cap)
             old = col_codes[idx]
             # the newcomer takes the victim's slot
