@@ -487,8 +487,6 @@ class SamplingEngine(_EngineBase):
         if not hits:
             return 0, 0
         g = self.graph
-        # each member's shape after the event; a None class id means the
-        # change left it disconnected
         dropped = res.update(*build_members(g.adj, g.labels, u, v, self.k, [x for _, x in hits]))
         return len(hits) - dropped, dropped
 
