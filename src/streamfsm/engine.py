@@ -2,9 +2,11 @@
 sampling, over incremental or fully-dynamic labeled edge streams.
 
 All engines keep the evolving graph plus N, the number of currently
-connected k-subgraphs. The exact engine counts those subgraphs per pattern
-class, moving the counts of the k-sets over an edge when the edge comes or
-goes. The sampling engine keeps a uniform fixed-capacity sample of them:
+connected k-subgraphs, and take the k-sets an edge touches from one split,
+``exploration.pair_members``. The exact engine counts those subgraphs per
+pattern class: when an edge comes or goes, the sets over its pair that
+were connected before leave their classes and those connected after join
+theirs. The sampling engine keeps a uniform fixed-capacity sample of them:
 the sampled members over the edge are updated in place, the newly
 connected k-sets go through one admission step (reservoir sampling with
 random pairing), and a deletion's destroyed subgraphs become pairing debt.
@@ -17,24 +19,21 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 from math import ceil, log
 from typing import NamedTuple
 
-from .exploration import exclusive_thirds, new_vertex_sets, sketch_delta
+from .exploration import pair_members, sketch_delta
 from .graph import DynamicLabeledGraph, is_connected
 from .pattern import PatternKey, canonical_key, count_patterns
 from .rng import substream, substream_seed
 from .sampling import (
     CLASS_KEYS,
     CLASS_TEXTS,
-    SHAPES,
     SampleInvariantError,
     SubgraphReservoir,
-    build_members,
     keyed_counts,
-    pair_slot,
-    shape_key,
+    member_codes,
+    member_shapes,
     skip_rp,
     skip_rp_sequential,
     skip_rs,
@@ -263,8 +262,11 @@ class _EngineBase:
 
 
 class ExactCountEngine(_EngineBase):
-    """Maintains exact per-pattern counts incrementally from the per-event
-    case analysis (modified / created / destroyed subgraphs)."""
+    """Maintains exact per-pattern counts incrementally: an event counts
+    the k-sets over its pair that are connected before it out of their
+    classes and those connected after it back in, so a modified set leaves
+    one class and joins another, a created one only joins, a destroyed one
+    only leaves."""
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
@@ -282,73 +284,38 @@ class ExactCountEngine(_EngineBase):
         return self.class_counts, self.population, self.population, 0, 0
 
     def _apply_add(self, ev: StreamEvent) -> EventStats:
-        modified, created = self._shift(ev.u, ev.v, ev.label_e, 1)
+        u, v = ev.u, ev.v
+        without, with_ = pair_members(self.graph, u, v, self.k)
+        self._count(u, v, without, -1)
+        self.graph.add_edge(u, ev.label_u, v, ev.label_v, ev.label_e)
+        self._count(u, v, with_, 1)
+        created = len(with_) - len(without)
         self.population += created
-        self.graph.add_edge(ev.u, ev.label_u, ev.v, ev.label_v, ev.label_e)
-        return EventStats(created, 0, modified, 0)
+        return EventStats(created, 0, len(without), 0)
 
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
-        le = self.graph.edge_label(ev.u, ev.v)
-        self.graph.delete_edge(ev.u, ev.v)
-        modified, destroyed = self._shift(ev.u, ev.v, le, -1)
+        u, v = ev.u, ev.v
+        without, with_ = pair_members(self.graph, u, v, self.k)
+        self._count(u, v, with_, -1)
+        self.graph.delete_edge(u, v)
+        self._count(u, v, without, 1)
+        destroyed = len(with_) - len(without)
         self.population -= destroyed
-        return EventStats(0, destroyed, modified, 0)
+        return EventStats(0, destroyed, len(without), 0)
 
-    def _shift(self, u: int, v: int, le: int, sign: int) -> tuple[int, int]:
-        """Move the counts of the k-sets over (u, v) across the edge (u, v)
-        labelled ``le`` coming (``sign`` +1) or going (-1). The graph lacks
-        the edge either way: call before the add or after the delete.
-        Returns how many sets are modified and how many created or
-        destroyed."""
+    def _count(self, u: int, v: int, members, sign: int) -> None:
+        """Count the k-sets ``members`` over (u, v), each connected in the
+        graph as it is now, into (``sign`` +1) or out of (-1) their
+        classes."""
         g = self.graph
-        # the edge's label before and after, each with its count delta
-        swap = ((None, -1), (le, 1)) if sign > 0 else ((le, -1), (None, 1))
-        if self.k == 3:
-            nu = g.adj[u]
-            nv = g.adj[v]
-            labels = g.labels
-            lu = labels[u]
-            lv = labels[v]
-            common = nu.keys() & nv.keys()
-            ex_u, ex_v = exclusive_thirds(g, u, v)
-            # (class id, delta) in the order the counts move, generated lazily
-            # so that a hub's event holds no list of them; the keys put u, v
-            # and w at positions 0, 1 and 2, as the class does not depend on
-            # the ids
-            t = SHAPES
-            moves = chain(
-                ((t[lu, lv, labels[w], e, nu[w], nv[w]][2], d) for w in common for e, d in swap),
-                ((t[lu, lv, labels[w], le, nu[w], None][2], sign) for w in ex_u),
-                ((t[lu, lv, labels[w], le, None, nv[w]][2], sign) for w in ex_v),
-            )
-            modified = len(common)
-            changed = len(ex_u) + len(ex_v)
-        else:
-            k = self.k
-            adj = g.adj
-            labels = g.labels
-            lo, hi = (u, v) if u < v else (v, u)
-            moves = []
-            modified = changed = 0
-            for vs in g.candidate_vertex_sets(u, v, k):
-                key = shape_key(adj, labels, vs)
-                slot = pair_slot(k, vs.index(lo), vs.index(hi))
-                absent = SHAPES[key][2]
-                present = SHAPES[key[:slot] + (le,) + key[slot + 1:]][2]
-                if absent is not None:
-                    moves.extend((absent if e is None else present, d) for e, d in swap)
-                    modified += 1
-                else:
-                    moves.append((present, sign))
-                    changed += 1
         counts = self.class_counts
-        for cid, delta in moves:
-            c = counts.get(cid, 0) + delta
+        for shape in member_shapes(g.adj, g.labels, u, v, self.k, members):
+            cid = shape[2]
+            c = counts.get(cid, 0) + sign
             if c:
                 counts[cid] = c
             else:
                 del counts[cid]
-        return modified, changed
 
     def verify_counts(self) -> None:
         """From-scratch recount of the current graph; raises on divergence."""
@@ -428,9 +395,9 @@ class SamplingEngine(_EngineBase):
         self.graph.add_edge(u, ev.label_u, v, ev.label_v, le)
         if self.sketches is not None:
             self.sketches.on_edge_added(u, v)
-        sets, created, groups = self._event_sets(u, v)
-        modified = self._update_members(u, v, sets)[0]
-        admitted = self._admit(u, v, created, groups)
+        pair, created = self._event_pair(u, v)
+        modified = self._update_members(u, v, pair)[0]
+        admitted = self._admit(u, v, created, pair)
         return EventStats(created, 0, modified, admitted)
 
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
@@ -440,8 +407,8 @@ class SamplingEngine(_EngineBase):
         store = self.sketches
         if store is not None:
             store.on_edge_deleted(u, v)
-        sets, destroyed, _ = self._event_sets(u, v)
-        modified, dropped = self._update_members(u, v, sets)
+        pair, destroyed = self._event_pair(u, v)
+        modified, dropped = self._update_members(u, v, pair)
         if destroyed < dropped:
             if store is None:
                 raise SampleInvariantError(
@@ -457,37 +424,32 @@ class SamplingEngine(_EngineBase):
             res.n_population = len(res.codes)
         return EventStats(0, destroyed, modified, 0)
 
-    def _event_sets(self, u: int, v: int):
+    def _event_pair(self, u: int, v: int):
         """The event delta of (u, v), with the graph and the sketches past
-        the event: ``(sets, count, groups)``. ``sets`` is the pair's
-        candidate k-sets, enumerated once per event (None at k=3, whose
-        member lookup reads the adjacency); ``count`` is how many k-sets the
-        edge connects, and ``groups`` lists them in two groups: the two sets
-        of third vertices at k=3, the vertex sets and an empty tuple
-        otherwise, or None when sketch-W estimated the count."""
+        the event: ``(pair, count)``, the pair's ``pair_members`` (None when
+        sketch-W estimated the count) and how many k-sets the edge
+        connects."""
         g = self.graph
-        if self.k != 3:
-            sets = list(g.candidate_vertex_sets(u, v, self.k))
-            new = new_vertex_sets(g, u, v, self.k, sets)
-            return sets, len(new), (new, ())
         if self.sketches is None:
-            groups = exclusive_thirds(g, u, v)
-            return None, len(groups[0]) + len(groups[1]), groups
-        est, groups = sketch_delta(self.sketches, g, u, v)
-        return None, round(est), groups
+            pair = pair_members(g, u, v, self.k)
+            return pair, len(pair[1]) - len(pair[0])
+        est, pair = sketch_delta(self.sketches, g, u, v)
+        return pair, round(est)
 
-    def _update_members(self, u: int, v: int, sets) -> tuple[int, int]:
+    def _update_members(self, u: int, v: int, pair) -> tuple[int, int]:
         """With the graph just past an add or delete of (u, v): give the
         sampled members over the pair their new shape, and drop those the
-        change left disconnected (c1 grows). ``sets`` is None for k=3, whose
-        lookup reads the adjacency, else the pair's candidate k-sets.
-        Returns the number modified and the number dropped."""
+        change left disconnected (c1 grows). At k=3 the lookup reads the
+        adjacency, else it probes the candidate sets of ``pair``. Returns
+        the number modified and the number dropped."""
         res = self.reservoir
-        hits = res.members_containing_pair(u, v) if sets is None else res.members_among(sets)
+        k = self.k
+        hits = res.members_containing_pair(u, v) if k == 3 else res.members_among(pair[1])
         if not hits:
             return 0, 0
         g = self.graph
-        dropped = res.update(*build_members(g.adj, g.labels, u, v, self.k, [x for _, x in hits]))
+        codes, members = zip(*hits)
+        dropped = res.update(codes, member_shapes(g.adj, g.labels, u, v, k, members))
         return len(hits) - dropped, dropped
 
     def _consume_arrivals(self, count: int) -> int:
@@ -552,17 +514,23 @@ class SamplingEngine(_EngineBase):
                 admitted += 1
         return admitted
 
-    def _admit(self, u: int, v: int, count: int, groups) -> int:
+    def _admit(self, u: int, v: int, count: int, pair) -> int:
         """Offer the ``count`` k-sets that the edge (u, v) newly connected,
-        listed in ``groups`` (see ``_event_sets``), and place the admitted
-        ones, drawn uniformly among them. Returns the admissions."""
+        the difference of ``pair`` (see ``_event_pair``), and place the
+        admitted ones, drawn uniformly among them. Returns the
+        admissions."""
         admissions = self._consume_arrivals(count)
         if not admissions:
             return 0
         g = self.graph
-        if groups is None:
-            groups = exclusive_thirds(g, u, v)
-        pool = [*groups[0], *groups[1]]
+        k = self.k
+        without, with_ = pair or pair_members(g, u, v, k)
+        if k == 3:
+            # in place, at the cost of the common neighbours alone
+            with_ -= without
+            pool = list(with_)
+        else:
+            pool = [vs for vs in with_ if vs not in without]
         rng = self.rng
         res = self.reservoir
         # the chosen sets are placed as one batch: the head fills the free
@@ -576,7 +544,8 @@ class SamplingEngine(_EngineBase):
             chosen = pool
         else:
             chosen = rng.sample(pool, min(admissions, len(pool)))
-        res.place(*build_members(g.adj, g.labels, u, v, self.k, chosen), rng)
+        res.place(member_codes(u, v, k, chosen),
+                  member_shapes(g.adj, g.labels, u, v, k, chosen), rng)
         return len(chosen)
 
 

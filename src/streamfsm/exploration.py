@@ -1,27 +1,17 @@
-"""Population deltas per edge event: exact and sketch-based counts of the
-subgraphs an insertion creates or a deletion destroys, and the enumeration
-of the newly created ones."""
+"""Population deltas per edge event: which k-sets an edge touches, the
+exact and sketch-based counts of the subgraphs an insertion creates or a
+deletion destroys, and the enumeration of the newly created ones.
+
+``pair_members`` is the one split of every engine: the k-sets over the
+pair that can be connected without the edge, and those that can be
+connected with it. The event delta is the difference in their sizes, the
+admission pool their difference, and the exact engine counts the one side
+out of the classes and the other back in."""
 
 from __future__ import annotations
 
 from .graph import DynamicLabeledGraph, GraphError
 from .sketch import SketchStore, intersection_estimate
-
-
-def exclusive_thirds(g: DynamicLabeledGraph, u: int, v: int):
-    """The third vertices of the size-3 sets that the edge (u, v) connects:
-    the neighbours of u that are not neighbours of v, and the mirror.
-
-    The one size-3 set algebra of every engine. ``g`` may hold the edge or
-    not: each difference is built once, and the endpoints, there only when
-    ``g`` holds the edge, are discarded from it in place."""
-    nu = g.adj.get(u) or {}
-    nv = g.adj.get(v) or {}
-    ex_u = nu.keys() - nv.keys()
-    ex_v = nv.keys() - nu.keys()
-    ex_u.discard(v)
-    ex_v.discard(u)
-    return ex_u, ex_v
 
 
 def _connected_without_edge(adj, vset, u: int, v: int) -> bool:
@@ -39,30 +29,48 @@ def _connected_without_edge(adj, vset, u: int, v: int) -> bool:
     return len(seen) == len(vset)
 
 
+def pair_members(g: DynamicLabeledGraph, u: int, v: int, k: int):
+    """The k-sets over the pair (u, v), as ``(without, with_)``: those that
+    can be connected without the edge (u, v), and those that can be
+    connected with it, a superset of the first.
+
+    At k=3 both are sets of third vertices: the common neighbours, and
+    every neighbour of either endpoint except the pair itself. At other k
+    ``with_`` is the pair's ``candidate_vertex_sets``, enumerated once, in
+    ascending order, and ``without`` the set of those whose induced
+    subgraph is connected less the edge. ``g`` may hold the edge or not."""
+    adj = g.adj
+    if k == 3:
+        nu = adj[u].keys()
+        nv = adj[v].keys()
+        with_ = nu | nv
+        with_.discard(u)
+        with_.discard(v)
+        return nu & nv, with_
+    with_ = list(g.candidate_vertex_sets(u, v, k))
+    return {vs for vs in with_ if _connected_without_edge(adj, vs, u, v)}, with_
+
+
 def new_vertex_sets(
-    g: DynamicLabeledGraph, u: int, v: int, k: int, sets=None
+    g: DynamicLabeledGraph, u: int, v: int, k: int
 ) -> list[tuple[int, ...]]:
     """Vertex sets whose induced subgraph is connected only through (u, v).
 
     ``g`` may hold the (u, v) edge or not; either way the answer is the set
     of k-sets that the edge's presence newly connects. Sorted deterministic
-    order. ``sets``, if given, is the pair's ``candidate_vertex_sets``
-    already enumerated.
+    order. The oracle that ``pair_members``' split is checked against.
     """
     adj = g.adj
-    if sets is None:
-        sets = g.candidate_vertex_sets(u, v, k)
-    return [vset for vset in sets if not _connected_without_edge(adj, vset, u, v)]
+    return [vset for vset in g.candidate_vertex_sets(u, v, k)
+            if not _connected_without_edge(adj, vset, u, v)]
 
 
 def _absent_edge_delta(g: DynamicLabeledGraph, u: int, v: int, k: int, present: str) -> int:
     # the k-sets that the edge (u, v) connects, counted without it
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) {present}")
-    if k == 3:
-        ex_u, ex_v = exclusive_thirds(g, u, v)
-        return len(ex_u) + len(ex_v)
-    return len(new_vertex_sets(g, u, v, k))
+    without, with_ = pair_members(g, u, v, k)
+    return len(with_) - len(without)
 
 
 def compute_w_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
@@ -83,19 +91,19 @@ def compute_d_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
 
 
 def sketch_delta(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int):
-    """Sketch-W's size-3 delta of the edge (u, v), as ``(estimate, thirds)``.
+    """Sketch-W's size-3 delta of the edge (u, v), as ``(estimate, pair)``.
 
     When neither endpoint's degree exceeds the sketch size, both sketches
     hold their whole neighbourhoods (at degree == size a sketch is full and
-    still holds all of it), so the delta is counted and ``thirds`` is
-    ``exclusive_thirds``.
+    still holds all of it), so the delta is counted and ``pair`` is
+    ``pair_members``.
     Otherwise the estimate is |N(u)| + |N(v)| - 2 |N(u) & N(v)|, less 2 for
-    the endpoints when ``g`` holds the edge, floored at 0, and ``thirds``
-    is None."""
+    the endpoints when ``g`` holds the edge, floored at 0, and ``pair`` is
+    None."""
     size = store.size
     if g.degree(u) <= size and g.degree(v) <= size:
-        thirds = exclusive_thirds(g, u, v)
-        return float(len(thirds[0]) + len(thirds[1])), thirds
+        pair = pair_members(g, u, v, 3)
+        return float(len(pair[1]) - len(pair[0])), pair
     sk_u = store.sketch(u)
     sk_v = store.sketch(v)
     inter = intersection_estimate(sk_u, sk_v)

@@ -58,6 +58,34 @@ def is_connected(instance: SubgraphInstance) -> bool:
     return len(seen) == k
 
 
+def _grown_sets(adj: dict[int, dict], seeds: list[frozenset[int]],
+                k: int) -> list[tuple[int, ...]]:
+    """Every k-set grown from one of ``seeds`` a neighbour at a time, each
+    once, as sorted tuples in lexicographic order. Takes over ``seeds`` as
+    its stack."""
+    out: list[tuple[int, ...]] = []
+    seen: set[frozenset[int]] = set()
+    stack = seeds
+    while stack:
+        s = stack.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        if len(s) == k:
+            out.append(tuple(sorted(s)))
+            continue
+        frontier: set[int] = set()
+        for x in s:
+            frontier.update(adj[x])
+        frontier -= s
+        for w in frontier:
+            t = s | {w}
+            if t not in seen:
+                stack.append(t)
+    out.sort()
+    return out
+
+
 class DynamicLabeledGraph:
     """Simple undirected graph with immutable vertex and edge labels.
 
@@ -175,28 +203,7 @@ class DynamicLabeledGraph:
         if k == 2:
             yield (u, v) if u < v else (v, u)
             return
-        adj = self.adj
-        results: list[tuple[int, ...]] = []
-        seen: set[frozenset[int]] = set()
-        stack: list[frozenset[int]] = [frozenset((u, v))]
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            if len(s) == k:
-                results.append(tuple(sorted(s)))
-                continue
-            frontier: set[int] = set()
-            for x in s:
-                frontier.update(adj[x])
-            frontier -= s
-            for w in frontier:
-                t = s | {w}
-                if t not in seen:
-                    stack.append(t)
-        results.sort()
-        yield from results
+        yield from _grown_sets(self.adj, [frozenset((u, v))], k)
 
     def connected_k_sets(self, k: int) -> Iterator[tuple[int, ...]]:
         """Every connected k-vertex set of the current graph, exactly once.
@@ -221,29 +228,7 @@ class DynamicLabeledGraph:
                         else:  # the wedge's center is unique
                             yield tuple(sorted((c, a, b)))
             return
-        adj = self.adj
-        seen: set[frozenset[int]] = set()
-        out: list[tuple[int, ...]] = []
-        for start in self.labels:
-            stack = [frozenset((start,))]
-            while stack:
-                s = stack.pop()
-                if s in seen:
-                    continue
-                seen.add(s)
-                if len(s) == k:
-                    out.append(tuple(sorted(s)))
-                    continue
-                frontier: set[int] = set()
-                for x in s:
-                    frontier.update(adj[x])
-                frontier -= s
-                for w in frontier:
-                    t = s | {w}
-                    if t not in seen:
-                        stack.append(t)
-        out.sort()
-        yield from out
+        yield from _grown_sets(self.adj, [frozenset((x,)) for x in self.labels], k)
 
     def verify(self) -> None:
         """Internal consistency check (symmetry, counts); raises on breakage."""

@@ -12,16 +12,19 @@ short walk of its survival product, then Vitter's Algorithm Z (reservoir) or
 Method D (pairing) for the rest. Per-class counts kept beside the slots make
 a frequency report cost O(pattern classes), not O(sample size). The sample
 is held in columns of ints and shared records, so a full sample adds no work
-to the garbage collector, and an event's members are built, placed and
-updated as one batch of columns (``build_members``, ``place``, ``update``):
-small-int work on the columns, a code -> slot map and the class-id counts.
-The records come from one shape table for every k (``SHAPES``): a set's key
-is its vertex labels in ascending-id order, then the label of each position
-pair (i, j), i < j, in lexicographic order (None for an absent edge), and
-every member of one key shares one record, so only a key the table has not
-seen is canonicalised. Nothing is kept per vertex: the members an edge event
-touches are among the event's candidate sets, read off the graph's
-adjacency, and the pair lookup probes the code -> slot map with their codes.
+to the garbage collector, and an event's members are placed and updated as
+one batch of columns (``place``, ``update``): small-int work on the
+columns, a code -> slot map and the class-id counts. ``member_codes`` and
+``member_shapes`` are the one place where a member over an event's pair, a
+third vertex at k=3 or a vertex set, becomes a code and a shape record;
+the exact engine counts with the shapes alone. The records come from one
+shape table for every k (``SHAPES``): a set's key is its vertex labels in
+ascending-id order, then the label of each position pair (i, j), i < j, in
+lexicographic order (None for an absent edge), and every member of one key
+shares one record, so only a key the table has not seen is canonicalised.
+Nothing is kept per vertex: the members an edge event touches are among the
+event's candidate sets, read off the graph's adjacency, and the pair lookup
+probes the code -> slot map with their codes.
 """
 
 from __future__ import annotations
@@ -126,56 +129,59 @@ SHAPES = _ShapeTable()
 def shape_key(adj: dict[int, dict], labels: dict[int, int], vs: tuple[int, ...]) -> tuple:
     """The ``SHAPES`` key of the ascending vertex set ``vs`` in the graph
     given by its adjacency and labels."""
-    key = [labels[a] for a in vs]
-    for i, a in enumerate(vs, 1):
-        na = adj[a]
-        key.extend([na.get(b) for b in vs[i:]])
-    return tuple(key)
+    return (*[labels[a] for a in vs], *[adj[a].get(b) for a, b in combinations(vs, 2)])
 
 
-def pair_slot(k: int, i: int, j: int) -> int:
-    """Index, in a k-set's shape key, of the label of positions i < j."""
-    return k + i * (2 * k - i - 1) // 2 + j - i - 1
-
-
-def build_members(adj: dict[int, dict], labels: dict[int, int], u: int, v: int, k: int,
-                  members) -> tuple[list[int], list[tuple]]:
-    """The aligned ``(codes, shapes)`` columns of an event's k-set members
-    over the pair (u, v), as the graph given by its adjacency and labels
-    holds them: the single builder of sample members. At k=3 ``members``
-    are third vertices, else ascending vertex sets. A code is the
-    ``vertex_code`` of the sorted ids, a shape the ``SHAPES`` record of the
-    key laid out in that order."""
+def member_codes(u: int, v: int, k: int, members) -> list[int]:
+    """The codes of an event's k-set ``members`` over the pair (u, v): at
+    k=3 third vertices, else ascending vertex sets. A code is the
+    ``vertex_code`` of the sorted ids."""
     if k != 3:
-        return ([vertex_code(vs) for vs in members],
-                [SHAPES[shape_key(adj, labels, vs)] for vs in members])
+        return [vertex_code(vs) for vs in members]
     lo, hi = (u, v) if u < v else (v, u)
-    n_lo = adj[lo]
-    n_hi = adj[hi]
-    l_lo = labels[lo]
-    l_hi = labels[hi]
-    le = n_lo.get(hi)
     # a third vertex w above, between or below the pair: see
     # members_containing_pair
     x = CODE_RADIX
     below = lo * x + hi
     between = lo * _RADIX2 + hi
     above = below * x
-    table = SHAPES
+    # loops, not comprehensions: under Python 3.11 a comprehension reads
+    # these locals as closure cells, about 10% slower
     codes = []
-    shapes = []
     for w in members:
-        lw = labels[w]
         if w > hi:
             codes.append(above + w)
-            shapes.append(table[l_lo, l_hi, lw, le, n_lo.get(w), n_hi.get(w)])
         elif w > lo:
             codes.append(between + w * x)
-            shapes.append(table[l_lo, lw, l_hi, n_lo.get(w), le, n_hi.get(w)])
         else:
             codes.append(below + w * _RADIX2)
-            shapes.append(table[lw, l_lo, l_hi, n_lo.get(w), n_hi.get(w), le])
-    return codes, shapes
+    return codes
+
+
+def member_shapes(adj: dict[int, dict], labels: dict[int, int], u: int, v: int, k: int,
+                  members) -> list[tuple]:
+    """The ``SHAPES`` records of an event's k-set ``members`` over the pair
+    (u, v), as the graph given by its adjacency and labels holds them,
+    aligned with their ``member_codes``: the single builder of shapes on the
+    event path. The key is laid out in ascending-id order."""
+    if k != 3:
+        return [SHAPES[shape_key(adj, labels, vs)] for vs in members]
+    lo, hi = (u, v) if u < v else (v, u)
+    n_lo = adj[lo]
+    n_hi = adj[hi]
+    l_lo = labels[lo]
+    l_hi = labels[hi]
+    le = n_lo.get(hi)
+    table = SHAPES
+    shapes = []  # a loop, as in member_codes
+    for w in members:
+        if w > hi:
+            shapes.append(table[l_lo, l_hi, labels[w], le, n_lo.get(w), n_hi.get(w)])
+        elif w > lo:
+            shapes.append(table[l_lo, labels[w], l_hi, n_lo.get(w), le, n_hi.get(w)])
+        else:
+            shapes.append(table[labels[w], l_lo, l_hi, n_lo.get(w), n_hi.get(w), le])
+    return shapes
 
 
 def _member(code: int, shape: tuple) -> SubgraphInstance:
@@ -230,7 +236,7 @@ class SubgraphReservoir:
     it. ``slots`` builds ``SubgraphInstance`` members on access. All members
     of one reservoir have the same size (codes of different sizes collide).
     ``place`` and ``update`` take an event's members as aligned code and
-    shape lists (``build_members``) and touch only the columns, the
+    shape lists (``member_codes``, ``member_shapes``) and touch only the columns, the
     position map and the counts. An eviction overwrites its victim's slot;
     only a drop moves a member, the last one, into the hole.
     """

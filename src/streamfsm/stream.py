@@ -272,11 +272,11 @@ def generate_stream(
 ) -> list[StreamEvent]:
     """Synthetic labeled edge stream, deterministic for a fixed seed.
 
-    Edges are distinct pairs in random arrival order; vertex labels are
-    assigned uniformly on first touch and stay fixed; edge labels are
-    uniform. With a positive delete fraction, round(fraction * m) deletions
-    of uniformly random live edges are interleaved after their targets'
-    insertions.
+    ``model`` is ``"uniform"`` or ``"power-law"``. Edges are distinct pairs
+    in random arrival order; vertex labels are assigned uniformly on first
+    touch and stay fixed; edge labels are uniform. With a positive delete
+    fraction, round(fraction * m) deletions of uniformly random live edges
+    are interleaved after their targets' insertions.
     """
     if num_vertices < 2 or num_edges < 0:
         raise ValueError("need at least 2 vertices and a non-negative edge count")
@@ -287,7 +287,7 @@ def generate_stream(
     rng = random.Random(seed)
     if model == "uniform":
         pairs = _uniform_pairs(num_vertices, num_edges, rng)
-    elif model in ("power-law", "power_law", "powerlaw"):
+    elif model == "power-law":
         pairs = _power_law_pairs(num_vertices, num_edges, rng, power_law_exponent)
     else:
         raise ValueError(f"unknown model {model!r}")

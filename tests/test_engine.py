@@ -234,6 +234,26 @@ def test_exact_engine_generic_k4(rng):
             assert exact.population == total
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_exact_event_stats_match_the_oracle(k):
+    """Each event's created, destroyed and modified counts equal a
+    brute-force diff of the connected k-sets before and after it on a
+    seeded dynamic stream: the modified sets are those over the event's
+    pair that are connected on both sides."""
+    events = generate_stream(14, 60, 2, 2, model="power-law", delete_fraction=0.3, seed=k)
+    eng = build_engine(EngineConfig(k=k, mode="exact", dynamic=True))
+    before: set = set()
+    total = EventStats(0, 0, 0, 0)
+    for ev in events:
+        got = eng.process_event(ev)
+        after = set(brute_connected_sets(eng.graph, k))
+        modified = sum(ev.u in vs and ev.v in vs for vs in before & after)
+        assert got == (len(after - before), len(before - after), modified, 0)
+        total = EventStats(*(a + b for a, b in zip(total, got)))
+        before = after
+    assert min(total[:3]) > 0
+
+
 @pytest.mark.parametrize("mode", ["sr", "osr"])
 def test_sampling_engines_generic_k4(mode):
     events = generate_stream(14, 60, 2, 1, model="uniform", delete_fraction=0.25, seed=5)
@@ -473,9 +493,9 @@ def _seeded_digest(k, mode, w_mode, delete_fraction):
 # id-taking placements, which changed no draw and no slot position. A change
 # that alters RNG draws or slot order updates them and says why. The exact
 # digests come from the code before the exact engine counted by class id.
-# Three were recomputed when every engine took its size-3 thirds from
-# exploration.exclusive_thirds, which subtracts the endpoints only when the
-# graph holds the edge: (3, exact, exact, 0.0), where only the key order of
+# Three were recomputed when every engine took its size-3 thirds from the
+# former exploration.exclusive_thirds, which subtracted the endpoints only
+# when the graph held the edge: (3, exact, exact, 0.0), where only the key order of
 # the counts changed (the snapshot lines stay byte-identical), and both
 # (3, sr, exact) rows, whose coins now meet the arrivals in the order of the
 # plain set difference rather than of a copy less {v}.
@@ -503,17 +523,28 @@ def _seeded_digest(k, mode, w_mode, delete_fraction):
 # randrange(capacity) then picks another member. The samples stay uniform
 # given their size. Building, placing and updating an event's members as
 # batches, with the old eviction, had left all fourteen rows unchanged.
+# Ten rows were recomputed when every engine came to split an edge's k-sets
+# by exploration.pair_members into those connected without and with the edge:
+# - the four exact rows, whose counts now move out of their classes before
+#   the edge changes and back in after it: only the key order of the counts
+#   changed, and the snapshot lines stay byte-identical;
+# - the six k=3 sr and osr rows, whose admission pool is now every neighbour
+#   of either endpoint less the common ones, one set that lists the same
+#   third vertices in another order than the two exclusive sets did. The
+#   draws and their law are unchanged: the old order reproduces all six old
+#   rows.
+# The four k=4 sr and osr rows stay unchanged.
 SEEDED_DIGESTS = {
-    (3, "exact", "exact", 0.0): "257e8987e0512322bb5a2cc844e63d6baacd9000010f1950369595876d7cc1ea",
-    (3, "exact", "exact", 0.3): "23baf6f4a5dd237e8173250340542a230ea71a8b95eb50ac73161823e2daec96",
-    (4, "exact", "exact", 0.0): "7a1de3fd60c59458ef8a8f87200447b10b8fb5839181e01b6fbd597e1314da17",
-    (4, "exact", "exact", 0.3): "e0609d00f8284002449a33adc2296f63a676d2f02312b7a1d4ba7db0cba724e3",
-    (3, "sr", "exact", 0.0): "3c6b2e79ca2f3fb529366d5e1078bcc3ca13ee6f236b4eb39569d8ba6f4db94a",
-    (3, "sr", "exact", 0.3): "1cff3d7a27b2e5aa3fd61ee9cffac65330fd3512d282b2ae32220d1db4223207",
-    (3, "osr", "exact", 0.0): "a5ab5b0730bcd2735a7c3b49301ee7f7265c4ee5946f93828c3dd330288f7908",
-    (3, "osr", "exact", 0.3): "a5f1ffed49efa29970e875af7858bf7d7fb291e25a753a37fecc34dff6c40531",
-    (3, "osr", "sketch", 0.0): "45ac53dbd69958aa4bb34c5450e24a7bd91b8096052bad5e4c7442a315317726",
-    (3, "osr", "sketch", 0.3): "46b504e3361de43dd810defa4b95f9167528b2d895bf2b85afd7c9241dce94f2",
+    (3, "exact", "exact", 0.0): "b506a80e0b1f2920f9d974a9a65bcdeccc15ba8e8ce9d76f93df713f9ff2c2cb",
+    (3, "exact", "exact", 0.3): "c49e19c0cffe1b14f7704ccd1a60e971de7da41c568cc8cc65fdcf4592a7987f",
+    (4, "exact", "exact", 0.0): "da347ddf44382adacafa8f6bb2eb7de34dea315635f52be96aeb7591421a61fc",
+    (4, "exact", "exact", 0.3): "bac0eb972ce4035fbecb8fe807452effe30ab06b1cebaec6b03db296fdc3d05b",
+    (3, "sr", "exact", 0.0): "f7affb074da4cf12ac4d4d0551a26ddb21a1a2b0e77b903503fc89f771ab6076",
+    (3, "sr", "exact", 0.3): "7babd2c554107e87cacbb9b73828209b7ec398f5623290d33af27162b7942e54",
+    (3, "osr", "exact", 0.0): "6edf58d99bbea4b1c517f5f78f7a776ae39632b3fff81ee007d618809445926b",
+    (3, "osr", "exact", 0.3): "90e69d023c4a0c2b34a20c7cd570477d93e0c545c42fb76d2588815c4bc748e1",
+    (3, "osr", "sketch", 0.0): "2c3c9d1f971dbb4326e2b033c9211912a78b89c02db425d301565d2bf1b77c5b",
+    (3, "osr", "sketch", 0.3): "7274745231e8cbdf5d62b1de98d1113d071580e86a7fc3f377f311a5916ebea4",
     (4, "sr", "exact", 0.0): "5bde5d577729b55be6f9d266ff14f8825a1fbeef3233436a8c3498050ca3dff5",
     (4, "sr", "exact", 0.3): "8ce7943dc5b96a69e7f3fb176b6ecb42f52d3886d024c3c09869e77793fe79a4",
     (4, "osr", "exact", 0.0): "bbe7ecf393393f457100a1305834ec588f74a87f289c7ac5a96f9dfaaeb2ff8a",

@@ -6,11 +6,11 @@ from streamfsm.exploration import (
     compute_d_exact,
     compute_w_approx,
     compute_w_exact,
-    exclusive_thirds,
     new_vertex_sets,
+    pair_members,
     sketch_delta,
 )
-from streamfsm.graph import DynamicLabeledGraph, GraphError
+from streamfsm.graph import DynamicLabeledGraph, GraphError, is_connected
 from streamfsm.sketch import SketchStore, VertexHasher
 
 from conftest import brute_connected_count, random_labeled_graph
@@ -100,7 +100,9 @@ def test_delta_identity_deletions(rng, k):
 
 
 def test_partition_identity(rng):
-    """candidates = modified + newly connected, at small scale."""
+    """candidates = modified + newly connected, at small scale: the pair's
+    split gives the sets connected without the edge, and those connected
+    with it, the same with the edge absent and again present."""
     for k in (3, 4):
         for _ in range(30):
             g = random_labeled_graph(rng, n=12, m=rng.randrange(5, 30))
@@ -110,20 +112,22 @@ def test_partition_identity(rng):
                 continue
             cands = list(g.candidate_vertex_sets(u, v, k))
             new = new_vertex_sets(g, u, v, k)
-            from streamfsm.graph import is_connected
             modified = [
                 c for c in cands if is_connected(g.induced_subgraph(c))
             ]
             assert len(cands) == len(modified) + len(new)
             assert set(new).isdisjoint(modified)
             if k == 3:
-                # with the edge absent and again present: the new sets' third
-                # vertices, split by the endpoint each one touches
-                split = ({w for vs in new for w in vs if w in g.adj[u]},
-                         {w for vs in new for w in vs if w in g.adj[v]})
-                assert exclusive_thirds(g, u, v) == split
-                g.add_edge(u, g.labels[u], v, g.labels[v], 0)
-                assert exclusive_thirds(g, u, v) == split
+                # the sets as their third vertices
+                def third(vs):
+                    return next(w for w in vs if w not in (u, v))
+
+                want = ({third(vs) for vs in modified}, {third(vs) for vs in cands})
+            else:
+                want = (set(modified), cands)
+            assert pair_members(g, u, v, k) == want
+            g.add_edge(u, g.labels[u], v, g.labels[v], 0)
+            assert pair_members(g, u, v, k) == want
 
 
 def _store_for(g, size=8, seed=1):

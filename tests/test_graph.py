@@ -159,6 +159,16 @@ def test_candidate_sets_match_exhaustive(rng, k):
         assert list(g.candidate_vertex_sets(u, v, k)) == expect
 
 
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_connected_k_sets_match_exhaustive(rng, k):
+    """The general branch (k=3 has a center scan of its own), in ascending
+    order."""
+    for _ in range(10):
+        g = random_labeled_graph(rng, n=11, m=rng.randrange(6, 24))
+        expect = subsets_connected(graph_adj_sets(g), g.labels, k)
+        assert list(g.connected_k_sets(k)) == expect
+
+
 def test_symmetry_and_replay_determinism(rng):
     ops = []
     for _ in range(300):

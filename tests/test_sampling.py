@@ -19,10 +19,10 @@ from streamfsm.sampling import (
     SubgraphReservoir,
     _skip_d,
     _skip_z,
-    build_members,
     class_id,
     keyed_counts,
-    pair_slot,
+    member_codes,
+    member_shapes,
     shape_key,
     skip_rp,
     skip_rp_sequential,
@@ -336,8 +336,9 @@ def test_replace_modified_neutral():
 def test_shape_records_match_the_oracle(k):
     """Every k-set's shared record, keyed off the adjacency, carries the
     induced instance's labels and edges and its class id, None when the set
-    is disconnected; at k=3 the member builder gives the same record from
-    each of the six id orders of u, v and w."""
+    is disconnected; the key's tail is the label of each id pair in
+    lexicographic order. At k=3 the member builders give the same code and
+    record from each of the six id orders of u, v and w."""
     rng = random.Random(40 + k)
     for _ in range(25):
         g = random_labeled_graph(rng, n=7, m=rng.randrange(2, 16), num_labels=3,
@@ -352,15 +353,15 @@ def test_shape_records_match_the_oracle(k):
                 assert CLASS_KEYS[rec[2]] == canonical_key(inst)
             else:
                 assert rec[2] is None
-            for i, j in combinations(range(k), 2):
-                assert key[pair_slot(k, i, j)] == g.edge_label(vs[i], vs[j])
+            assert key[k:] == tuple(g.edge_label(a, b) for a, b in combinations(vs, 2))
             if k == 3:
-                for u, v, w in permutations(vs):
-                    got = build_members(adj, labels, u, v, 3, [w])
-                    assert got == ([vertex_code(vs)], [rec]) and got[1][0] is rec
+                orders = list(permutations(vs))
             else:
-                got = build_members(adj, labels, vs[0], vs[1], k, [vs])
-                assert got == ([vertex_code(vs)], [rec]) and got[1][0] is rec
+                orders = [(vs[0], vs[1], vs)]
+            for u, v, member in orders:
+                assert member_codes(u, v, k, [member]) == [vertex_code(vs)]
+                (got,) = member_shapes(adj, labels, u, v, k, [member])
+                assert got is rec
 
 
 def _pairs(*vertex_sets):
@@ -618,12 +619,12 @@ def test_size3_sample_is_invisible_to_the_collector():
     adj = dict.fromkeys(range(3000), zeros)
     before = _tracked()
     for u, v, w in fill:
-        res.place(*build_members(adj, zeros, u, v, 3, [w]), rng)
+        res.place(member_codes(u, v, 3, [w]), member_shapes(adj, zeros, u, v, 3, [w]), rng)
     assert _tracked() - before < 20
     before = _tracked()
     for u, v, w in later:
         res.n_population += 1
-        res.place(*build_members(adj, zeros, u, v, 3, [w]), rng)
+        res.place(member_codes(u, v, 3, [w]), member_shapes(adj, zeros, u, v, 3, [w]), rng)
     assert _tracked() <= before
 
 

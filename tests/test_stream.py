@@ -199,3 +199,6 @@ def test_generate_stream_infeasible():
         generate_stream(5, 100, 1, 1)
     with pytest.raises(ValueError):
         generate_stream(10, 5, 1, 1, model="nope")
+    for spelling in ("power_law", "powerlaw"):  # one spelling per model
+        with pytest.raises(ValueError):
+            generate_stream(10, 5, 1, 1, model=spelling)
