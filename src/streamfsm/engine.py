@@ -11,8 +11,12 @@ the sampled members over the edge are updated in place, the newly
 connected k-sets go through one admission step (reservoir sampling with
 random pairing), and a deletion's destroyed subgraphs become pairing debt.
 Its two modes differ only in how the admission step draws a skip: a coin
-per arrival (``sr``) or in one draw (``osr``). Frequency estimates and
-frequent reports are read off per-class counts, of the sample or exact.
+per arrival (``sr``) or in one draw (``osr``). ``osr`` with sketch-W
+counts the size-3 delta from exact degrees and probes the common
+neighbours exactly unless both endpoints are hubs, above the sketch size,
+whose sketches then estimate them; its N drifts only through those
+hub-hub events. Frequency estimates and frequent reports are read off
+per-class counts, of the sample or exact.
 """
 
 from __future__ import annotations
@@ -340,8 +344,9 @@ class SamplingEngine(_EngineBase):
     the destroyed rest as pairing debt. ``sr`` and ``osr`` share all of it
     and differ only in how a skip, the number of arrivals rejected before
     the next admission, is drawn: a coin per arrival (``sr``) or in one
-    draw (``osr``). ``osr`` may also estimate the size-3 delta from
-    neighbourhood sketches (sketch-W)."""
+    draw (``osr``). ``osr`` may also count the size-3 delta from exact
+    degrees and estimate only the common neighbours of two hubs, vertices
+    above the sketch size, from their neighbourhood sketches (sketch-W)."""
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
@@ -426,15 +431,16 @@ class SamplingEngine(_EngineBase):
 
     def _event_pair(self, u: int, v: int):
         """The event delta of (u, v), with the graph and the sketches past
-        the event: ``(pair, count)``, the pair's ``pair_members`` (None when
-        sketch-W estimated the count) and how many k-sets the edge
-        connects."""
+        the event: ``(pair, count)``, how many k-sets the edge connects
+        and, in exact-W, the pair's ``pair_members``; in sketch-W ``pair``
+        is the common neighbours that the count probed, or None when it
+        estimated them."""
         g = self.graph
         if self.sketches is None:
             pair = pair_members(g, u, v, self.k)
             return pair, len(pair[1]) - len(pair[0])
-        est, pair = sketch_delta(self.sketches, g, u, v)
-        return pair, round(est)
+        est, common = sketch_delta(self.sketches, g, u, v)
+        return common, round(est)
 
     def _update_members(self, u: int, v: int, pair) -> tuple[int, int]:
         """With the graph just past an add or delete of (u, v): give the
@@ -516,15 +522,19 @@ class SamplingEngine(_EngineBase):
 
     def _admit(self, u: int, v: int, count: int, pair) -> int:
         """Offer the ``count`` k-sets that the edge (u, v) newly connected,
-        the difference of ``pair`` (see ``_event_pair``), and place the
-        admitted ones, drawn uniformly among them. Returns the
+        the difference of the pair's ``pair_members``, and place the
+        admitted ones, drawn uniformly among them. ``pair`` is what
+        ``_event_pair`` returned; sketch-W builds the split here, from the
+        common neighbours its count probed when it has them. Returns the
         admissions."""
         admissions = self._consume_arrivals(count)
         if not admissions:
             return 0
         g = self.graph
         k = self.k
-        without, with_ = pair or pair_members(g, u, v, k)
+        if self.sketches is not None:
+            pair = pair_members(g, u, v, k, pair)
+        without, with_ = pair
         if k == 3:
             # in place, at the cost of the common neighbours alone
             with_ -= without

@@ -6,7 +6,9 @@ deletion destroys, and the enumeration of the newly created ones.
 pair that can be connected without the edge, and those that can be
 connected with it. The event delta is the difference in their sizes, the
 admission pool their difference, and the exact engine counts the one side
-out of the classes and the other back in."""
+out of the classes and the other back in. ``sketch_delta`` counts the
+size-3 delta from exact degrees and estimates only what the graph cannot
+give cheaply: the common neighbours of two hubs."""
 
 from __future__ import annotations
 
@@ -29,16 +31,18 @@ def _connected_without_edge(adj, vset, u: int, v: int) -> bool:
     return len(seen) == len(vset)
 
 
-def pair_members(g: DynamicLabeledGraph, u: int, v: int, k: int):
+def pair_members(g: DynamicLabeledGraph, u: int, v: int, k: int, common=None):
     """The k-sets over the pair (u, v), as ``(without, with_)``: those that
     can be connected without the edge (u, v), and those that can be
     connected with it, a superset of the first.
 
     At k=3 both are sets of third vertices: the common neighbours, and
-    every neighbour of either endpoint except the pair itself. At other k
-    ``with_`` is the pair's ``candidate_vertex_sets``, enumerated once, in
-    ascending order, and ``without`` the set of those whose induced
-    subgraph is connected less the edge. ``g`` may hold the edge or not."""
+    every neighbour of either endpoint except the pair itself; a caller
+    that already probed the common neighbours passes them as ``common``.
+    At other k ``with_`` is the pair's ``candidate_vertex_sets``,
+    enumerated once, in ascending order, and ``without`` the set of those
+    whose induced subgraph is connected less the edge. ``g`` may hold the
+    edge or not."""
     adj = g.adj
     if k == 3:
         nu = adj[u].keys()
@@ -46,7 +50,7 @@ def pair_members(g: DynamicLabeledGraph, u: int, v: int, k: int):
         with_ = nu | nv
         with_.discard(u)
         with_.discard(v)
-        return nu & nv, with_
+        return nu & nv if common is None else common, with_
     with_ = list(g.candidate_vertex_sets(u, v, k))
     return {vs for vs in with_ if _connected_without_edge(adj, vs, u, v)}, with_
 
@@ -91,32 +95,34 @@ def compute_d_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
 
 
 def sketch_delta(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int):
-    """Sketch-W's size-3 delta of the edge (u, v), as ``(estimate, pair)``.
+    """Sketch-W's size-3 delta of the edge (u, v), as ``(estimate, common)``.
 
-    When neither endpoint's degree exceeds the sketch size, both sketches
-    hold their whole neighbourhoods (at degree == size a sketch is full and
-    still holds all of it), so the delta is counted and ``pair`` is
-    ``pair_members``.
-    Otherwise the estimate is |N(u)| + |N(v)| - 2 |N(u) & N(v)|, less 2 for
-    the endpoints when ``g`` holds the edge, floored at 0, and ``pair`` is
-    None."""
+    The delta is deg u + deg v - 2 |N(u) & N(v)|, less 2 for the endpoints
+    when ``g`` holds the edge; the degrees are read from the graph. When
+    either degree is at most the sketch size, the common neighbours are
+    probed in O(min deg), the delta is exact, and ``common`` is the set
+    probed. Only when both endpoints are hubs, whose sketches are then
+    both full, is |N(u) & N(v)| estimated from the sketches; the estimate
+    is floored at 0 and ``common`` is None."""
+    adj = g.adj
+    nu = adj[u]
+    nv = adj[v]
+    known = len(nu) + len(nv)
+    if v in nu:
+        known -= 2
     size = store.size
-    if g.degree(u) <= size and g.degree(v) <= size:
-        pair = pair_members(g, u, v, 3)
-        return float(len(pair[1]) - len(pair[0])), pair
-    sk_u = store.sketch(u)
-    sk_v = store.sketch(v)
-    inter = intersection_estimate(sk_u, sk_v)
-    est = sk_u.size_estimate() + sk_v.size_estimate() - 2.0 * inter
-    if g.has_edge(u, v):
-        est -= 2.0
+    if len(nu) <= size or len(nv) <= size:
+        common = nu.keys() & nv.keys()
+        return float(known - 2 * len(common)), common
+    est = known - 2.0 * intersection_estimate(store.sketch(u), store.sketch(v))
     return max(0.0, est), None
 
 
 def compute_w_approx(
     store: SketchStore, g: DynamicLabeledGraph, u: int, v: int, k: int
 ) -> float:
-    """Sketch-based estimate of the insertion delta.
+    """Sketch-W's count of the insertion delta, exact unless both
+    endpoints are hubs (see ``sketch_delta``).
 
     Expects the current state: the (u, v) edge and the sketch updates for it
     are already applied, hence the degree correction for the endpoints."""

@@ -1,8 +1,12 @@
-"""Per-vertex bottom-k neighborhood sketches with deletion support.
+"""Bottom-k neighbourhood sketches with deletion support, kept for hubs only.
 
 A sketch keeps only the ``size`` smallest hashes of a neighbourhood; the
 one full copy of each neighbourhood is the graph's adjacency, from which a
-deletion refills its sketch."""
+deletion refills its sketch. The store keeps a sketch only for a hub, a
+vertex whose degree exceeds the sketch size: at or below that size the
+adjacency holds the exact neighbourhood in no more entries than a sketch,
+and the common neighbours of an edge with such an endpoint are probed
+exactly (``exploration.sketch_delta``)."""
 
 from __future__ import annotations
 
@@ -157,11 +161,15 @@ def intersection_estimate(a: BottomKSketch, b: BottomKSketch) -> float:
 
 
 class SketchStore:
-    """One bottom-k sketch per vertex, tracking immediate neighborhoods.
+    """One full bottom-k sketch per hub, a vertex whose degree exceeds the
+    sketch size ``size``, tracking its immediate neighbourhood.
 
-    ``adjacency`` is the graph's vertex -> neighbour map, read after an
-    edge's deletion to refill its endpoints' sketches. Every neighbour was
-    hashed when its edge arrived, so the hasher's cache holds its value."""
+    ``adjacency`` is the graph's vertex -> neighbour map, read after each
+    edge event: an insertion that takes a vertex to degree size + 1 builds
+    its sketch from it, a deletion refills a hub's sketch from it, and one
+    that takes a vertex back to degree size drops its sketch. A hub's
+    neighbours were all hashed when its sketch was built or their edges
+    arrived, so the hasher's cache holds their values."""
 
     __slots__ = ("size", "hasher", "_adj", "_sketches")
 
@@ -172,37 +180,67 @@ class SketchStore:
         self._sketches: dict[int, BottomKSketch] = {}
 
     def sketch(self, vertex: int) -> BottomKSketch:
+        """The sketch of a hub; a vertex of degree <= size has none."""
         sk = self._sketches.get(vertex)
         if sk is None:
-            sk = BottomKSketch(self.size, self.hasher)
-            self._sketches[vertex] = sk
+            raise SketchError(
+                f"vertex {vertex} keeps no sketch at degree {len(self._adj.get(vertex, ()))}"
+            )
         return sk
 
     def on_edge_added(self, u: int, v: int) -> None:
+        """Add (u, v) to its endpoints' sketches; the adjacency holds it."""
+        adj = self._adj
+        size = self.size
         value = self.hasher.value
-        self.sketch(u).insert(value(v))
-        self.sketch(v).insert(value(u))
+        for a, b in ((u, v), (v, u)):
+            degree = len(adj[a])
+            if degree > size + 1:
+                self._sketches[a].insert(value(b))
+            elif degree == size + 1:
+                sk = self._sketches[a] = BottomKSketch(size, self.hasher)
+                for w in adj[a]:
+                    sk.insert(value(w))
 
     def on_edge_deleted(self, u: int, v: int) -> None:
-        """Drop (u, v) from both sketches; the adjacency no longer holds it."""
+        """Drop (u, v) from its endpoints' sketches; the adjacency no longer
+        holds it."""
         cached = self.hasher._cache.__getitem__
         adj = self._adj
-        self.sketch(u).delete(cached(v), map(cached, adj[u]))
-        self.sketch(v).delete(cached(u), map(cached, adj[v]))
+        size = self.size
+        for a, b in ((u, v), (v, u)):
+            degree = len(adj[a])
+            if degree > size:
+                self._sketches[a].delete(cached(b), map(cached, adj[a]))
+            elif degree == size:
+                del self._sketches[a]
 
     def verify(self) -> None:
-        """Debug gate: every sketch passes ``check`` and retains exactly the
-        ``size`` smallest hashes of its vertex's neighbourhood."""
-        cached = self.hasher._cache.__getitem__
+        """Debug gate: a vertex keeps a sketch exactly when its degree
+        exceeds ``size``, and every sketch passes ``check`` and retains
+        exactly the ``size`` smallest hashes of its vertex's
+        neighbourhood."""
+        cache = self.hasher._cache
         sketches = self._sketches
+        size = self.size
+        hubs = 0
         for u, nbrs in self._adj.items():
             sk = sketches.get(u)
+            if len(nbrs) <= size:
+                if sk is not None:
+                    raise SketchError(
+                        f"vertex {u} keeps a sketch at degree {len(nbrs)} <= {size}"
+                    )
+                continue
+            hubs += 1
             if sk is None:
-                retained = []
-            else:
-                sk.check()
-                retained = sk._plus
-            if retained != sorted(map(cached, nbrs))[: self.size]:
+                raise SketchError(f"hub {u} at degree {len(nbrs)} keeps no sketch")
+            sk.check()
+            if any(w not in cache for w in nbrs):
+                raise SketchError(f"a neighbour of hub {u} was never hashed")
+            if sk._plus != sorted(cache[w] for w in nbrs)[:size]:
                 raise SketchError(
                     f"sketch of vertex {u} does not hold its neighbourhood's minima"
                 )
+        if hubs != len(sketches):
+            raise SketchError(f"{len(sketches)} sketches kept for {hubs} hubs")

@@ -407,7 +407,8 @@ def test_criterion_09_performance_ordering():
     assert t_osr_sketch < 60.0
     _report(9, "update-time ordering",
             "mean per-event us: EC {ec:.1f} > SR {sr:.1f} > OSR/exact {osr_exact:.1f} "
-            ">= OSR/sketch {osr_sketch:.1f}".format(**per))
+            ">= OSR/sketch {osr_sketch:.1f} (OSR/sketch / OSR/exact {ratio:.2f})".format(
+                ratio=t_osr_sketch / t_osr_exact, **per))
 
 
 # --- criterion 10: end-to-end CLI determinism --------------------------------

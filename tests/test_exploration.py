@@ -131,11 +131,15 @@ def test_partition_identity(rng):
 
 
 def _store_for(g, size=8, seed=1):
+    # the store reads each degree as an edge arrives, so g's edges are taken
+    # out and fed back one at a time, as the engine feeds them
+    edges = [(u, v, lab) for u, nu in g.adj.items() for v, lab in nu.items() if u < v]
+    for u, v, _ in edges:
+        g.delete_edge(u, v)
     store = SketchStore(size, VertexHasher(seed), g.adj)
-    for u in g.adj:
-        for v in g.adj[u]:
-            if u < v:
-                store.on_edge_added(u, v)
+    for u, v, lab in edges:
+        g.add_edge(u, g.labels[u], v, g.labels[v], lab)
+        store.on_edge_added(u, v)
     return store
 
 
@@ -161,6 +165,41 @@ def test_w_approx_exact_in_lossless_regime(rng):
         g.delete_edge(u, v)
         store.on_edge_deleted(u, v)
         assert sketch_delta(store, g, u, v)[0] == float(w_true)
+
+
+@pytest.mark.parametrize("size", [2, 8])
+def test_sketch_delta_is_exact_unless_both_endpoints_are_hubs(size):
+    """On power-law streams with deletions, every event with an endpoint of
+    degree <= size gets the exact delta and the exact common neighbours;
+    only hub-hub events are estimated."""
+    from streamfsm.stream import generate_stream
+
+    exact_events = hub_events = 0
+    for seed in range(3):
+        events = generate_stream(40, 300, 2, 2, model="power-law", delete_fraction=0.3,
+                                 seed=seed)
+        g = DynamicLabeledGraph()
+        store = SketchStore(size, VertexHasher(seed), g.adj)
+        for ev in events:
+            u, v = ev.u, ev.v
+            if ev.op == "+":
+                g.ensure_endpoints(u, ev.label_u, v, ev.label_v)
+                w_true = compute_w_exact(g, u, v, 3)
+                g.add_edge(u, ev.label_u, v, ev.label_v, ev.label_e)
+                store.on_edge_added(u, v)
+            else:
+                g.delete_edge(u, v)
+                store.on_edge_deleted(u, v)
+                w_true = compute_d_exact(g, u, v, 3)
+            est, common = sketch_delta(store, g, u, v)
+            if min(g.degree(u), g.degree(v)) <= size:
+                exact_events += 1
+                assert est == float(w_true)
+                assert common == g.adj[u].keys() & g.adj[v].keys()
+            else:
+                hub_events += 1
+                assert common is None
+    assert exact_events > 0 and hub_events > 0, (exact_events, hub_events)
 
 
 def test_w_approx_requires_present_edge():

@@ -178,19 +178,95 @@ def test_size_estimate_error_shrinks_with_size():
 
 
 def test_store_tracks_neighborhoods():
+    """A vertex keeps a sketch exactly while its degree exceeds the size:
+    the insertion that takes it to size + 1 builds the sketch from the
+    adjacency, later ones update it, and the deletion that takes it back
+    to size drops it."""
     hasher = VertexHasher(11)
     g = DynamicLabeledGraph()
     store = SketchStore(4, hasher, g.adj)
-    for a, b in ((1, 2), (1, 3)):
-        g.add_edge(a, 0, b, 0, 0)
-        store.on_edge_added(a, b)
-    assert store.sketch(1).smallest() == sorted([hasher.value(2), hasher.value(3)])
-    assert store.sketch(2).smallest() == [hasher.value(1)]
-    g.delete_edge(1, 2)
-    store.on_edge_deleted(1, 2)
-    assert store.sketch(1).smallest() == [hasher.value(3)]
-    assert store.sketch(2).smallest() == []
+
+    def minima(x):
+        return sorted(hasher.value(y) for y in g.adj[x])[:4]
+
+    for x in range(1, 5):
+        g.add_edge(0, 0, x, 0, 0)
+        store.on_edge_added(0, x)
+        store.verify()
+    assert store._sketches == {}
+    with pytest.raises(SketchError):
+        store.sketch(0)  # degree 4: the adjacency is the exact neighbourhood
+    g.add_edge(0, 0, 5, 0, 0)
+    store.on_edge_added(0, 5)
+    assert list(store._sketches) == [0]
+    assert store.sketch(0).smallest() == minima(0)
+    assert store.sketch(0).is_full
+    for x in (6, 7):
+        g.add_edge(0, 0, x, 0, 0)
+        store.on_edge_added(0, x)
+        assert store.sketch(0).smallest() == minima(0)
+    for x in (7, 1):
+        g.delete_edge(0, x)
+        store.on_edge_deleted(0, x)
+        assert store.sketch(0).smallest() == minima(0)
     store.verify()
+    g.delete_edge(0, 2)
+    store.on_edge_deleted(0, 2)
+    assert store._sketches == {}
+    with pytest.raises(SketchError):
+        store.sketch(0)
+    store.verify()
+    # crossing again builds a new sketch from the adjacency as it is now
+    g.add_edge(0, 0, 8, 0, 0)
+    store.on_edge_added(0, 8)
+    assert store.sketch(0).smallest() == minima(0)
+    store.verify()
+
+
+def test_store_verify_checks_which_vertices_keep_sketches():
+    hasher = VertexHasher(2)
+    g = DynamicLabeledGraph()
+    store = SketchStore(3, hasher, g.adj)
+    for x in range(1, 5):
+        g.add_edge(0, 0, x, 0, 0)
+        store.on_edge_added(0, x)
+    store.verify()
+    leaf = BottomKSketch(3, hasher)
+    leaf.insert(hasher.value(0))
+    store._sketches[1] = leaf  # a correct sketch, but at degree 1 <= 3
+    with pytest.raises(SketchError, match="degree 1"):
+        store.verify()
+    del store._sketches[1]
+    hub = store._sketches.pop(0)
+    with pytest.raises(SketchError, match="no sketch"):
+        store.verify()
+    store._sketches[0] = hub
+    store.verify()
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_store_follows_a_stream_across_the_size(size):
+    """Vertices cross the size in both directions again and again on this
+    power-law stream with deletions, and the store passes ``verify`` after
+    every event."""
+    from streamfsm.stream import generate_stream
+
+    events = generate_stream(30, 240, 1, 1, model="power-law", delete_fraction=0.45, seed=3)
+    g = DynamicLabeledGraph()
+    store = SketchStore(size, VertexHasher(4), g.adj)
+    built = dropped = 0
+    for ev in events:
+        before = len(store._sketches)
+        if ev.op == "+":
+            g.add_edge(ev.u, ev.label_u, ev.v, ev.label_v, ev.label_e)
+            store.on_edge_added(ev.u, ev.v)
+            built += len(store._sketches) - before
+        else:
+            g.delete_edge(ev.u, ev.v)
+            store.on_edge_deleted(ev.u, ev.v)
+            dropped += before - len(store._sketches)
+        store.verify()
+    assert built >= 20 and dropped >= 20, (built, dropped)
 
 
 def _star_store():
