@@ -3,13 +3,15 @@ sampling, over incremental or fully-dynamic labeled edge streams.
 
 All engines keep the evolving graph plus N, the number of currently
 connected k-subgraphs, and take the k-sets an edge touches from one split,
-``exploration.pair_members``. The exact engine counts those subgraphs per
+``exploration.pair_members``: those over its pair that stay connected
+without the edge (kept) and those that only the edge connects (new), whose
+size is the event delta. The exact engine counts those subgraphs per
 pattern class: when an edge comes or goes, the sets over its pair that
 were connected before leave their classes and those connected after join
 theirs. The sampling engine keeps a uniform fixed-capacity sample of them:
-the sampled members over the edge are updated in place, the newly
-connected k-sets go through one admission step (reservoir sampling with
-random pairing), and a deletion's destroyed subgraphs become pairing debt.
+the sampled members over the edge are updated in place, the new k-sets
+go through one admission step (reservoir sampling with random pairing)
+as its pool, and a deletion's destroyed subgraphs become pairing debt.
 Its two modes differ only in how the admission step draws a skip: a coin
 per arrival (``sr``) or in one draw (``osr``). ``osr`` with sketch-W
 counts the size-3 delta from exact degrees and probes the common
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 from .exploration import pair_members, sketch_delta
 from .graph import DynamicLabeledGraph, is_connected
-from .pattern import PatternKey, canonical_key, count_patterns
+from .pattern import MAX_CANONICAL_SIZE, PatternKey, canonical_key, count_patterns
 from .rng import substream, substream_seed
 from .sampling import (
     CLASS_KEYS,
@@ -82,8 +84,9 @@ class EngineConfig:
     missing_delete: str = "error"  # error | skip
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise EngineError(f"subgraph size must be >= 2, got {self.k}")
+        if not 2 <= self.k <= MAX_CANONICAL_SIZE:
+            # a larger set has no canonical form to be counted under
+            raise EngineError(f"subgraph size must lie in [2, {MAX_CANONICAL_SIZE}], got {self.k}")
         if not (0.0 < self.tau <= 1.0):
             raise EngineError(f"tau must lie in (0, 1], got {self.tau}")
         if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.delta < 1.0):
@@ -268,9 +271,9 @@ class _EngineBase:
 class ExactCountEngine(_EngineBase):
     """Maintains exact per-pattern counts incrementally: an event counts
     the k-sets over its pair that are connected before it out of their
-    classes and those connected after it back in, so a modified set leaves
-    one class and joins another, a created one only joins, a destroyed one
-    only leaves."""
+    classes and those connected after it back in. A kept set leaves one
+    class and joins another; a new set only joins on an insertion and only
+    leaves on a deletion."""
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
@@ -289,23 +292,23 @@ class ExactCountEngine(_EngineBase):
 
     def _apply_add(self, ev: StreamEvent) -> EventStats:
         u, v = ev.u, ev.v
-        without, with_ = pair_members(self.graph, u, v, self.k)
-        self._count(u, v, without, -1)
+        kept, new = pair_members(self.graph, u, v, self.k)
+        self._count(u, v, kept, -1)
         self.graph.add_edge(u, ev.label_u, v, ev.label_v, ev.label_e)
-        self._count(u, v, with_, 1)
-        created = len(with_) - len(without)
-        self.population += created
-        return EventStats(created, 0, len(without), 0)
+        self._count(u, v, kept, 1)
+        self._count(u, v, new, 1)
+        self.population += len(new)
+        return EventStats(len(new), 0, len(kept), 0)
 
     def _apply_delete(self, ev: StreamEvent) -> EventStats:
         u, v = ev.u, ev.v
-        without, with_ = pair_members(self.graph, u, v, self.k)
-        self._count(u, v, with_, -1)
+        kept, new = pair_members(self.graph, u, v, self.k)
+        self._count(u, v, kept, -1)
+        self._count(u, v, new, -1)
         self.graph.delete_edge(u, v)
-        self._count(u, v, without, 1)
-        destroyed = len(with_) - len(without)
-        self.population -= destroyed
-        return EventStats(0, destroyed, len(without), 0)
+        self._count(u, v, kept, 1)
+        self.population -= len(new)
+        return EventStats(0, len(new), len(kept), 0)
 
     def _count(self, u: int, v: int, members, sign: int) -> None:
         """Count the k-sets ``members`` over (u, v), each connected in the
@@ -431,26 +434,25 @@ class SamplingEngine(_EngineBase):
 
     def _event_pair(self, u: int, v: int):
         """The event delta of (u, v), with the graph and the sketches past
-        the event: ``(pair, count)``, how many k-sets the edge connects
-        and, in exact-W, the pair's ``pair_members``; in sketch-W ``pair``
-        is the common neighbours that the count probed, or None when it
-        estimated them."""
+        the event: ``(pair, count)``, the pair's ``pair_members`` and the
+        size of its ``new`` side in exact-W; None and the count of
+        ``sketch_delta`` in sketch-W."""
         g = self.graph
         if self.sketches is None:
             pair = pair_members(g, u, v, self.k)
-            return pair, len(pair[1]) - len(pair[0])
-        est, common = sketch_delta(self.sketches, g, u, v)
-        return common, round(est)
+            return pair, len(pair[1])
+        return None, round(sketch_delta(self.sketches, g, u, v))
 
     def _update_members(self, u: int, v: int, pair) -> tuple[int, int]:
         """With the graph just past an add or delete of (u, v): give the
         sampled members over the pair their new shape, and drop those the
         change left disconnected (c1 grows). At k=3 the lookup reads the
-        adjacency, else it probes the candidate sets of ``pair``. Returns
-        the number modified and the number dropped."""
+        adjacency, else it probes both sides of ``pair``. Returns the
+        number modified and the number dropped."""
         res = self.reservoir
         k = self.k
-        hits = res.members_containing_pair(u, v) if k == 3 else res.members_among(pair[1])
+        hits = (res.members_containing_pair(u, v) if k == 3
+                else res.members_among(pair[0] + pair[1]))
         if not hits:
             return 0, 0
         g = self.graph
@@ -522,25 +524,18 @@ class SamplingEngine(_EngineBase):
 
     def _admit(self, u: int, v: int, count: int, pair) -> int:
         """Offer the ``count`` k-sets that the edge (u, v) newly connected,
-        the difference of the pair's ``pair_members``, and place the
+        the ``new`` side of the pair's ``pair_members``, and place the
         admitted ones, drawn uniformly among them. ``pair`` is what
-        ``_event_pair`` returned; sketch-W builds the split here, from the
-        common neighbours its count probed when it has them. Returns the
-        admissions."""
+        ``_event_pair`` returned; sketch-W builds the split here, only when
+        it places. Returns the admissions."""
         admissions = self._consume_arrivals(count)
         if not admissions:
             return 0
         g = self.graph
         k = self.k
-        if self.sketches is not None:
-            pair = pair_members(g, u, v, k, pair)
-        without, with_ = pair
-        if k == 3:
-            # in place, at the cost of the common neighbours alone
-            with_ -= without
-            pool = list(with_)
-        else:
-            pool = [vs for vs in with_ if vs not in without]
+        if pair is None:
+            pair = pair_members(g, u, v, k)
+        pool = list(pair[1])
         rng = self.rng
         res = self.reservoir
         # the chosen sets are placed as one batch: the head fills the free

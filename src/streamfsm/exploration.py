@@ -3,12 +3,13 @@ exact and sketch-based counts of the subgraphs an insertion creates or a
 deletion destroys, and the enumeration of the newly created ones.
 
 ``pair_members`` is the one split of every engine: the k-sets over the
-pair that can be connected without the edge, and those that can be
-connected with it. The event delta is the difference in their sizes, the
-admission pool their difference, and the exact engine counts the one side
-out of the classes and the other back in. ``sketch_delta`` counts the
-size-3 delta from exact degrees and estimates only what the graph cannot
-give cheaply: the common neighbours of two hubs."""
+pair that stay connected without the edge (``kept``), and those that only
+the edge connects (``new``). The event delta is the size of ``new`` and
+the admission pool ``new`` itself; the exact engine counts ``kept`` out of
+its classes before the edge changes and back in after it, and ``new`` only
+on the side that holds the edge. ``sketch_delta`` counts the size-3 delta
+from exact degrees and estimates only what the graph cannot give cheaply:
+the common neighbours of two hubs."""
 
 from __future__ import annotations
 
@@ -31,28 +32,33 @@ def _connected_without_edge(adj, vset, u: int, v: int) -> bool:
     return len(seen) == len(vset)
 
 
-def pair_members(g: DynamicLabeledGraph, u: int, v: int, k: int, common=None):
-    """The k-sets over the pair (u, v), as ``(without, with_)``: those that
-    can be connected without the edge (u, v), and those that can be
-    connected with it, a superset of the first.
+def pair_members(g: DynamicLabeledGraph, u: int, v: int, k: int):
+    """The k-sets over the pair (u, v), as ``(kept, new)``: those that stay
+    connected without the edge (u, v), and those that only the edge
+    connects: the event's delta is the size of ``new``, and its admission
+    pool ``new`` itself.
 
-    At k=3 both are sets of third vertices: the common neighbours, and
-    every neighbour of either endpoint except the pair itself; a caller
-    that already probed the common neighbours passes them as ``common``.
-    At other k ``with_`` is the pair's ``candidate_vertex_sets``,
-    enumerated once, in ascending order, and ``without`` the set of those
-    whose induced subgraph is connected less the edge. ``g`` may hold the
-    edge or not."""
+    At k=3 both are sets of third vertices: the common neighbours, and the
+    other neighbours of either endpoint but the pair itself. At other k
+    one pass over the pair's ``candidate_vertex_sets`` fills two lists in
+    ascending order. ``g`` may hold the edge or not."""
     adj = g.adj
     if k == 3:
         nu = adj[u].keys()
         nv = adj[v].keys()
-        with_ = nu | nv
-        with_.discard(u)
-        with_.discard(v)
-        return nu & nv if common is None else common, with_
-    with_ = list(g.candidate_vertex_sets(u, v, k))
-    return {vs for vs in with_ if _connected_without_edge(adj, vs, u, v)}, with_
+        kept = nu & nv
+        # the union less the pair less kept, not nu ^ nv: the pool keeps
+        # the union's iteration order, which the admission draws meet
+        new = nu | nv
+        new.discard(u)
+        new.discard(v)
+        new -= kept
+        return kept, new
+    kept = []
+    new = []
+    for vs in g.candidate_vertex_sets(u, v, k):
+        (kept if _connected_without_edge(adj, vs, u, v) else new).append(vs)
+    return kept, new
 
 
 def new_vertex_sets(
@@ -62,7 +68,7 @@ def new_vertex_sets(
 
     ``g`` may hold the (u, v) edge or not; either way the answer is the set
     of k-sets that the edge's presence newly connects. Sorted deterministic
-    order. The oracle that ``pair_members``' split is checked against.
+    order. The oracle that ``pair_members``' ``new`` is checked against.
     """
     adj = g.adj
     return [vset for vset in g.candidate_vertex_sets(u, v, k)
@@ -73,8 +79,7 @@ def _absent_edge_delta(g: DynamicLabeledGraph, u: int, v: int, k: int, present: 
     # the k-sets that the edge (u, v) connects, counted without it
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) {present}")
-    without, with_ = pair_members(g, u, v, k)
-    return len(with_) - len(without)
+    return len(pair_members(g, u, v, k)[1])
 
 
 def compute_w_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
@@ -94,16 +99,15 @@ def compute_d_exact(g: DynamicLabeledGraph, u: int, v: int, k: int) -> int:
     return _absent_edge_delta(g, u, v, k, "still present")
 
 
-def sketch_delta(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int):
-    """Sketch-W's size-3 delta of the edge (u, v), as ``(estimate, common)``.
+def sketch_delta(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int) -> float:
+    """Sketch-W's size-3 delta of the edge (u, v).
 
     The delta is deg u + deg v - 2 |N(u) & N(v)|, less 2 for the endpoints
     when ``g`` holds the edge; the degrees are read from the graph. When
     either degree is at most the sketch size, the common neighbours are
-    probed in O(min deg), the delta is exact, and ``common`` is the set
-    probed. Only when both endpoints are hubs, whose sketches are then
-    both full, is |N(u) & N(v)| estimated from the sketches; the estimate
-    is floored at 0 and ``common`` is None."""
+    probed in O(min deg) and the delta is exact. Only when both endpoints
+    are hubs, whose sketches are then both full, is |N(u) & N(v)|
+    estimated from the sketches; the estimate is floored at 0."""
     adj = g.adj
     nu = adj[u]
     nv = adj[v]
@@ -112,10 +116,9 @@ def sketch_delta(store: SketchStore, g: DynamicLabeledGraph, u: int, v: int):
         known -= 2
     size = store.size
     if len(nu) <= size or len(nv) <= size:
-        common = nu.keys() & nv.keys()
-        return float(known - 2 * len(common)), common
+        return float(known - 2 * len(nu.keys() & nv.keys()))
     est = known - 2.0 * intersection_estimate(store.sketch(u), store.sketch(v))
-    return max(0.0, est), None
+    return max(0.0, est)
 
 
 def compute_w_approx(
@@ -130,4 +133,4 @@ def compute_w_approx(
         raise GraphError(f"edge ({u}, {v}) not present; apply the insertion first")
     if k != 3:
         raise GraphError(f"sketch-based deltas exist for subgraph size 3 only, got {k}")
-    return sketch_delta(store, g, u, v)[0]
+    return sketch_delta(store, g, u, v)

@@ -1,4 +1,8 @@
-"""Dynamic labeled graph plus the neighborhood queries the sampling engines need."""
+"""Dynamic labeled graph plus the neighborhood queries the sampling engines need.
+
+One search, ``_grown_sets``, enumerates connected vertex sets for every
+size: the candidate sets over an edge's pair and, for recounts and debug
+checks, every connected k-set of the graph."""
 
 from __future__ import annotations
 
@@ -40,9 +44,6 @@ def is_connected(instance: SubgraphInstance) -> bool:
     edges = instance.edges
     if len(edges) < k - 1:
         return False
-    if k == 3:
-        # two distinct edges on three vertices always share an endpoint
-        return len(edges) >= 2
     adj: list[list[int]] = [[] for _ in range(k)]
     for i, j, _ in edges:
         adj[i].append(j)
@@ -200,34 +201,14 @@ class DynamicLabeledGraph:
         for w in (u, v):
             if w not in self.labels:
                 raise GraphError(f"unknown vertex {w}")
-        if k == 2:
-            yield (u, v) if u < v else (v, u)
-            return
         yield from _grown_sets(self.adj, [frozenset((u, v))], k)
 
     def connected_k_sets(self, k: int) -> Iterator[tuple[int, ...]]:
         """Every connected k-vertex set of the current graph, exactly once.
 
-        Intended for small graphs (full recounts and debug verification).
+        Sets are yielded as sorted tuples in lexicographic order. Intended
+        for small graphs (full recounts and debug verification).
         """
-        if k == 1:
-            for v in sorted(self.labels):
-                yield (v,)
-            return
-        if k == 3:
-            adj = self.adj
-            for c in self.labels:
-                around = sorted(adj[c])
-                for ai in range(len(around)):
-                    a = around[ai]
-                    for bi in range(ai + 1, len(around)):
-                        b = around[bi]
-                        if b in adj[a]:
-                            if c < a:  # count each triangle once, at its min vertex
-                                yield tuple(sorted((c, a, b)))
-                        else:  # the wedge's center is unique
-                            yield tuple(sorted((c, a, b)))
-            return
         yield from _grown_sets(self.adj, [frozenset((x,)) for x in self.labels], k)
 
     def verify(self) -> None:

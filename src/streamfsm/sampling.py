@@ -17,14 +17,17 @@ one batch of columns (``place``, ``update``): small-int work on the
 columns, a code -> slot map and the class-id counts. ``member_codes`` and
 ``member_shapes`` are the one place where a member over an event's pair, a
 third vertex at k=3 or a vertex set, becomes a code and a shape record;
-the exact engine counts with the shapes alone. The records come from one
-shape table for every k (``SHAPES``): a set's key is its vertex labels in
-ascending-id order, then the label of each position pair (i, j), i < j, in
-lexicographic order (None for an absent edge), and every member of one key
-shares one record, so only a key the table has not seen is canonicalised.
-Nothing is kept per vertex: the members an edge event touches are among the
-event's candidate sets, read off the graph's adjacency, and the pair lookup
-probes the code -> slot map with their codes.
+the exact engine counts with the shapes alone. The members come from
+``exploration.pair_members``, whose ``new`` side is the admission pool.
+The records come from one shape table for every k (``SHAPES``): a set's
+key is its vertex labels in ascending-id order, then the label of each
+position pair (i, j), i < j, in lexicographic order (None for an absent
+edge), and every member of one key shares one record, so only a key the
+table has not seen is canonicalised. Nothing is kept per vertex: the
+members an edge event touches are among the event's candidate sets, read
+off the graph's adjacency, and the pair lookup probes the code -> slot map
+with their codes and returns its hits in ascending code order at every
+size.
 """
 
 from __future__ import annotations
@@ -64,10 +67,6 @@ def vertex_code(vertices) -> int:
 
 def decode_vertices(code: int, size: int) -> tuple[int, ...]:
     """The ascending vertex ids of the ``size``-set coded as ``code``."""
-    if size == 3:
-        rest, c = divmod(code, CODE_RADIX)
-        a, b = divmod(rest, CODE_RADIX)
-        return a, b, c
     out = []
     for _ in range(size):
         code, v = divmod(code, CODE_RADIX)
@@ -301,10 +300,13 @@ class SubgraphReservoir:
 
     def members_among(self, vertex_sets) -> list[tuple[int, tuple[int, ...]]]:
         """The sampled sets among ``vertex_sets`` (ascending ids each) as
-        ``(code, vertex set)`` pairs in the given order: the pair lookup for
-        sizes other than 3, given the pair's candidate sets."""
+        ``(code, vertex set)`` pairs in ascending code order, as
+        ``members_containing_pair`` returns them: the pair lookup for sizes
+        other than 3, given the pair's candidate sets."""
         pos = self._pos
-        return [(code, vs) for vs in vertex_sets if (code := vertex_code(vs)) in pos]
+        out = [(code, vs) for vs in vertex_sets if (code := vertex_code(vs)) in pos]
+        out.sort()
+        return out
 
     def _uncount(self, cid: int) -> None:
         counts = self.counts

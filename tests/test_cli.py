@@ -149,6 +149,7 @@ def test_auto_sample_size_from_stream(tmp_path: Path):
 
 @pytest.mark.parametrize("argv,stream,code", [
     (("run", "--k", "1"), STREAM, 1),
+    (("run", "--k", "9"), STREAM, 1),
     (("run", "--tau", "2"), STREAM, 1),
     (("run", "--epsilon", "0"), STREAM, 1),
     (("run", "--sample-size", "0"), STREAM, 1),
@@ -158,8 +159,8 @@ def test_auto_sample_size_from_stream(tmp_path: Path):
     (("run", "--sample-size", "5"), "+ 1 0 2 0 0\n- 1 2\n", 2),
     (("run", "--sample-size", "10", "--report-every", "-7"), STREAM, 1),
     (("compare", "--verify-every", "-1"), STREAM, 1),
-], ids=["k", "tau", "epsilon", "sample-size", "sketch-k", "sketch-sr", "compare-k", "deletion",
-        "report-every", "verify-every"])
+], ids=["k", "k-above-canonical", "tau", "epsilon", "sample-size", "sketch-k", "sketch-sr",
+        "compare-k", "deletion", "report-every", "verify-every"])
 def test_config_errors_are_usage_errors(tmp_path: Path, argv, stream, code):
     """A rejected flag value exits 1 as a usage error; an event the engine
     rejects (a deletion without --dynamic) still exits 2."""

@@ -159,10 +159,9 @@ def test_candidate_sets_match_exhaustive(rng, k):
         assert list(g.candidate_vertex_sets(u, v, k)) == expect
 
 
-@pytest.mark.parametrize("k", [2, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_connected_k_sets_match_exhaustive(rng, k):
-    """The general branch (k=3 has a center scan of its own), in ascending
-    order."""
+    """One search for every size, in ascending order."""
     for _ in range(10):
         g = random_labeled_graph(rng, n=11, m=rng.randrange(6, 24))
         expect = subsets_connected(graph_adj_sets(g), g.labels, k)

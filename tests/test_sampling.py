@@ -20,6 +20,7 @@ from streamfsm.sampling import (
     _skip_d,
     _skip_z,
     class_id,
+    decode_vertices,
     keyed_counts,
     member_codes,
     member_shapes,
@@ -437,12 +438,14 @@ def test_members_containing_pair_sorted():
 
 
 def test_members_among_returns_sampled_sets_in_order():
-    """The lookup for other sizes probes the given candidate sets."""
+    """The lookup for other sizes probes the given candidate sets and
+    returns the sampled ones in ascending code order, whatever their order
+    in the input."""
     res = _filled((1, 2, 3, 4), (2, 3, 5, 6), (1, 3, 7, 8))
     candidates = [(1, 2, 3, 4), (1, 2, 3, 9), (2, 3, 4, 5), (2, 3, 5, 6)]
-    assert res.members_among(candidates) == [
-        (vertex_code(vs), vs) for vs in [(1, 2, 3, 4), (2, 3, 5, 6)]
-    ]
+    want = [(vertex_code(vs), vs) for vs in [(1, 2, 3, 4), (2, 3, 5, 6)]]
+    assert res.members_among(candidates) == want
+    assert res.members_among(candidates[::-1]) == want
     assert res.members_among([]) == []
 
 
@@ -572,6 +575,11 @@ def test_vertex_codes_order_and_bound():
         vertex_code((1, 2, 2**64))
     with pytest.raises(ValueError):
         vertex_code((-1, 2, 3))
+    # one decoding loop for every size, exact up to the top id
+    for size in range(2, 6):
+        for vs in ((*range(size - 1), top), tuple(range(top - size + 1, top + 1)),
+                   (0, *range(top - size + 2, top + 1))):
+            assert decode_vertices(vertex_code(vs), size) == vs
     g = _graph((top, top - 1), (5, top), (5, top - 1), (top - 2, top), (top - 2, top - 1),
                (0, 1), (1, 2), (2, 3), (0, 2))
     res = _filled(*sets, graph=g)
