@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Iterator
 
 from .engine import (
     EngineConfig,
@@ -148,14 +149,18 @@ def _engine_m(engine) -> int:
     return getattr(engine, "sample_size", 0)
 
 
-def _cmd_run(args) -> int:
-    events = _prepare_events(args)
-    config = _build_config(args, args.mode, events)
-    engine = build_engine(config)
-    out: list[str] = []
+def _replay(engine, events, args, then=None) -> Iterator[str]:
+    """Feed ``events`` to ``engine``, calling ``then(ev)`` after each one.
+    Yields the avg_update_ns column (empty without ``--timing``) after every
+    ``--report-every``-th event, and after the last event unless that one
+    was just reported."""
     total_ns = 0
     every = args.report_every
-    last_snapshot = -1
+    last_report = -1
+
+    def avg() -> str:
+        return str(total_ns // max(1, engine.events_seen)) if args.timing else ""
+
     for ev in events:
         if args.timing:
             t0 = time.perf_counter_ns()
@@ -163,12 +168,23 @@ def _cmd_run(args) -> int:
             total_ns += time.perf_counter_ns() - t0
         else:
             engine.process_event(ev)
+        if then is not None:
+            then(ev)
         if every and engine.events_seen % every == 0:
-            out.extend(snapshot_lines(engine.estimate_frequencies(), engine.report_frequent()))
-            last_snapshot = engine.events_seen
-    if engine.events_seen != last_snapshot:
+            last_report = engine.events_seen
+            yield avg()
+    if engine.events_seen != last_report:
+        yield avg()
+
+
+def _cmd_run(args) -> int:
+    events = _prepare_events(args)
+    config = _build_config(args, args.mode, events)
+    engine = build_engine(config)
+    out: list[str] = []
+    avg = ""
+    for avg in _replay(engine, events, args):
         out.extend(snapshot_lines(engine.estimate_frequencies(), engine.report_frequent()))
-    avg = str(total_ns // max(1, engine.events_seen)) if args.timing else ""
     out.append(CSV_HEADER)
     out.append(
         _csv_row(engine.events_seen, config.mode, config, _engine_m(engine),
@@ -189,37 +205,20 @@ def _cmd_compare(args) -> int:
     approx = build_engine(config)
     exact = build_engine(exact_cfg)
     rows = [CSV_HEADER]
-    total_ns = 0
-    every = args.report_every
-    last_emitted = -1
 
-    def emit() -> None:
-        nonlocal last_emitted
-        last_emitted = approx.events_seen
-        est = approx.estimate_frequencies()
-        truth = exact.estimate_frequencies()
-        result = metrics(est, truth, args.tau, args.epsilon)
-        avg = str(total_ns // max(1, approx.events_seen)) if args.timing else ""
+    def lockstep(ev) -> None:
+        exact.process_event(ev)
+        if args.verify_every and exact.events_seen % args.verify_every == 0:
+            exact.verify_counts()
+
+    for avg in _replay(approx, events, args, lockstep):
+        result = metrics(approx.estimate_frequencies(), exact.estimate_frequencies(),
+                         args.tau, args.epsilon)
         rows.append(
             _csv_row(approx.events_seen, config.mode, config, _engine_m(approx),
                      _fmt(result.relative_error), _fmt(result.precision),
                      _fmt(result.recall), avg)
         )
-
-    for ev in events:
-        if args.timing:
-            t0 = time.perf_counter_ns()
-            approx.process_event(ev)
-            total_ns += time.perf_counter_ns() - t0
-        else:
-            approx.process_event(ev)
-        exact.process_event(ev)
-        if args.verify_every and exact.events_seen % args.verify_every == 0:
-            exact.verify_counts()
-        if every and approx.events_seen % every == 0:
-            emit()
-    if approx.events_seen != last_emitted:
-        emit()
     _write_out(args.out, rows)
     return 0
 

@@ -60,10 +60,10 @@ def is_connected(instance: SubgraphInstance) -> bool:
 
 
 def _grown_sets(adj: dict[int, dict], seeds: list[frozenset[int]],
-                k: int) -> list[tuple[int, ...]]:
-    """Every k-set grown from one of ``seeds`` a neighbour at a time, each
-    once, as sorted tuples in lexicographic order. Takes over ``seeds`` as
-    its stack."""
+                k: int, low: int = -1) -> list[tuple[int, ...]]:
+    """Every k-set grown from one of ``seeds`` a neighbour above ``low`` at a
+    time, each once, as sorted tuples in lexicographic order. Takes over
+    ``seeds`` as its stack."""
     out: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
     stack = seeds
@@ -79,6 +79,8 @@ def _grown_sets(adj: dict[int, dict], seeds: list[frozenset[int]],
         for x in s:
             frontier.update(adj[x])
         frontier -= s
+        if low >= 0:
+            frontier = {w for w in frontier if w > low}
         for w in frontier:
             t = s | {w}
             if t not in seen:
@@ -137,14 +139,6 @@ class DynamicLabeledGraph:
     def has_edge(self, u: int, v: int) -> bool:
         nu = self.adj.get(u)
         return nu is not None and v in nu
-
-    def edge_label(self, u: int, v: int) -> int | None:
-        nu = self.adj.get(u)
-        return None if nu is None else nu.get(v)
-
-    def degree(self, v: int) -> int:
-        nv = self.adj.get(v)
-        return 0 if nv is None else len(nv)
 
     def add_edge(self, u: int, label_u: int, v: int, label_v: int, label_e: int) -> bool:
         """Insert edge (u, v); returns False when it already exists (no-op)."""
@@ -207,9 +201,13 @@ class DynamicLabeledGraph:
         """Every connected k-vertex set of the current graph, exactly once.
 
         Sets are yielded as sorted tuples in lexicographic order. Intended
-        for small graphs (full recounts and debug verification).
+        for small graphs (full recounts and debug verification). Each set
+        is grown from its smallest vertex through larger ones only, so the
+        search holds one root's sets at a time.
         """
-        yield from _grown_sets(self.adj, [frozenset((x,)) for x in self.labels], k)
+        adj = self.adj
+        for root in sorted(self.labels):
+            yield from _grown_sets(adj, [frozenset((root,))], k, root)
 
     def verify(self) -> None:
         """Internal consistency check (symmetry, counts); raises on breakage."""

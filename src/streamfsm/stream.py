@@ -36,7 +36,6 @@ class StreamEvent(NamedTuple):
     label_u: int | None = None
     label_v: int | None = None
     label_e: int | None = None
-    seq: int = -1
 
 
 _TOKEN = re.compile(r"\S+")
@@ -44,10 +43,6 @@ _TOKEN = re.compile(r"\S+")
 
 def parse_event(line: str, lineno: int = 0) -> StreamEvent | None:
     """Parse one stream line; None for comments and blank lines."""
-    return _parse(line, lineno, -1)
-
-
-def _parse(line: str, lineno: int, seq: int) -> StreamEvent | None:
     # fast path: a well-formed line is split once and converted; anything
     # else goes to _parse_located, which finds the error's column
     tokens = line.split()
@@ -60,14 +55,14 @@ def _parse(line: str, lineno: int, seq: int) -> StreamEvent | None:
             # the bitwise or of ints is negative iff one of them is
             if (u | lu | v | lv | le) >= 0 and u < VERTEX_ID_LIMIT and v < VERTEX_ID_LIMIT \
                     and u != v:
-                return StreamEvent("+", u, v, lu, lv, le, seq)
+                return StreamEvent("+", u, v, lu, lv, le)
         elif op == "-" and len(tokens) == 3:
             u, v = map(int, tokens[1:])
             if 0 <= u < VERTEX_ID_LIMIT and 0 <= v < VERTEX_ID_LIMIT and u != v:
-                return StreamEvent("-", u, v, seq=seq)
+                return StreamEvent("-", u, v)
     except ValueError:
         pass
-    return _parse_located(line, lineno)._replace(seq=seq)
+    return _parse_located(line, lineno)
 
 
 def _parse_located(line: str, lineno: int) -> StreamEvent:
@@ -132,13 +127,13 @@ def format_event(ev: StreamEvent) -> str:
 
 
 def read_stream(lines: Iterable[str]) -> Iterator[StreamEvent]:
-    """Parse a line iterable, numbering events 0.. in arrival order."""
-    seq = 0
+    """Parse a line iterable into its events in arrival order, skipping
+    comments and blank lines. Events carry no number; an engine counts the
+    events it has processed in ``events_seen``."""
     for lineno, line in enumerate(lines, start=1):
-        ev = _parse(line, lineno, seq)
+        ev = parse_event(line, lineno)
         if ev is not None:
             yield ev
-            seq += 1
 
 
 def load_stream(path: str) -> list[StreamEvent]:
@@ -157,13 +152,12 @@ def drive_window(events: Iterable[StreamEvent], window: int) -> Iterator[StreamE
     right before the insertion ``window`` positions after its own.
 
     The output never deletes an absent edge, and at most ``window`` edges are
-    live at any point.
+    live at any point. Insertions are yielded as the very objects given.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     pending: deque[tuple[int, int]] = deque()
     live: set[tuple[int, int]] = set()
-    seq = 0
     for i, ev in enumerate(events):
         if ev.op != "+":
             # events carry no line numbers, so the error names the event
@@ -175,13 +169,11 @@ def drive_window(events: Iterable[StreamEvent], window: int) -> Iterator[StreamE
             old = pending.popleft()
             if old in live:
                 live.discard(old)
-                yield StreamEvent("-", old[0], old[1], seq=seq)
-                seq += 1
+                yield StreamEvent("-", old[0], old[1])
         pair = (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u)
         pending.append(pair)
         live.add(pair)
-        yield ev._replace(seq=seq)
-        seq += 1
+        yield ev
 
 
 def _uniform_pairs(n: int, m: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -308,7 +300,6 @@ def generate_stream(
     deletions = int(round(num_edges * delete_fraction))
     events: list[StreamEvent] = []
     live: list[tuple[int, int]] = []
-    seq = 0
     while adds or deletions > 0:
         remaining = len(adds) + deletions
         if (
@@ -320,13 +311,12 @@ def generate_stream(
             pair = live[idx]
             live[idx] = live[-1]
             live.pop()
-            events.append(StreamEvent("-", pair[0], pair[1], seq=seq))
+            events.append(StreamEvent("-", pair[0], pair[1]))
             deletions -= 1
         elif adds:
             ev = adds.popleft()
-            events.append(ev._replace(seq=seq))
+            events.append(ev)
             live.append((ev.u, ev.v))
         else:
             break  # deletions left but nothing live; drop them
-        seq += 1
     return events

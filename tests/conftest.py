@@ -161,12 +161,12 @@ def random_labeled_graph(rng: random.Random, n: int, m: int, num_labels=2, num_e
     return g
 
 
-def add_event(u, lu, v, lv, le, seq=-1) -> StreamEvent:
-    return StreamEvent("+", u, v, lu, lv, le, seq)
+def add_event(u, lu, v, lv, le) -> StreamEvent:
+    return StreamEvent("+", u, v, lu, lv, le)
 
 
-def del_event(u, v, seq=-1) -> StreamEvent:
-    return StreamEvent("-", u, v, seq=seq)
+def del_event(u, v) -> StreamEvent:
+    return StreamEvent("-", u, v)
 
 
 @pytest.fixture

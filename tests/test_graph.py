@@ -19,8 +19,8 @@ def test_first_edge_creates_vertices():
     assert g.num_vertices == 2
     assert g.num_edges == 1
     assert g.labels[1] == 0
-    assert g.edge_label(1, 2) == 5
-    assert g.edge_label(2, 1) == 5
+    assert g.adj[1][2] == 5
+    assert g.adj[2][1] == 5
 
 
 def test_duplicate_add_is_flagged_noop():

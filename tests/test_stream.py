@@ -73,7 +73,7 @@ def test_split_path_agrees_with_located_path():
         assert parse_event(line) == _parse_located(line, 0)
     assert parse_event("+ +5 0 2 1 0") == StreamEvent("+", 5, 2, 0, 1, 0)
     assert parse_event("+ 1_0 0 2 1 0") == StreamEvent("+", 10, 2, 0, 1, 0)
-    assert [ev.seq for ev in read_stream(lines)] == list(range(len(lines)))
+    assert list(read_stream(lines)) == [parse_event(line) for line in lines]
 
 
 def test_round_trip():
@@ -82,15 +82,17 @@ def test_round_trip():
         assert format_event(parse_event(line)) == line
 
 
-def test_read_stream_numbers_events():
-    lines = ["# c", "+ 1 0 2 0 0", "", "- 1 2"]
-    events = list(read_stream(lines))
-    assert [ev.seq for ev in events] == [0, 1]
-    assert events[1].op == "-"
+def test_read_stream_skips_comments_and_blanks_in_order():
+    lines = ["# c", "+ 1 0 2 0 0", "", "  # indented", "- 1 2", "\t\n", "+ 2 0 3 0 1"]
+    assert list(read_stream(lines)) == [
+        StreamEvent("+", 1, 2, 0, 0, 0),
+        StreamEvent("-", 1, 2),
+        StreamEvent("+", 2, 3, 0, 0, 1),
+    ]
 
 
 def _adds(pairs):
-    return [StreamEvent("+", a, b, 0, 0, 0, i) for i, (a, b) in enumerate(pairs)]
+    return [StreamEvent("+", a, b, 0, 0, 0) for a, b in pairs]
 
 
 def test_drive_window_trace():
@@ -101,6 +103,13 @@ def test_drive_window_trace():
         ("-", 1, 2),
         ("+", 3, 4),
     ]
+
+
+def test_drive_window_yields_the_insertions_given():
+    adds = _adds([(1, 2), (2, 3), (3, 4), (4, 5)])
+    out = [ev for ev in drive_window(adds, 2) if ev.op == "+"]
+    assert len(out) == len(adds)
+    assert all(got is given for got, given in zip(out, adds))
 
 
 def test_drive_window_wide_window_is_identity():
