@@ -182,7 +182,6 @@ def _cmd_run(args) -> int:
     config = _build_config(args, args.mode, events)
     engine = build_engine(config)
     out: list[str] = []
-    avg = ""
     for avg in _replay(engine, events, args):
         out.extend(snapshot_lines(engine.estimate_frequencies(), engine.report_frequent()))
     out.append(CSV_HEADER)
